@@ -23,12 +23,12 @@ the output; afterwards the output is exact and constant — finite-time,
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.models import CommunicationModel
 from repro.core.network_class import Knowledge
 from repro.graphs.digraph import DiGraph
-from repro.graphs.views import ViewBuilder
+from repro.graphs.views import View, ViewBuilder
 from repro.algorithms.minimum_base_alg import (
     OutdegreeViewAlgorithm,
     PortViewAlgorithm,
@@ -70,6 +70,10 @@ class _FunctionOutput:
         self._knowledge = knowledge
         self._n = n
         self._leader_count = leader_count
+        # The output is a function of the view alone, and agents in one
+        # fibre share a hash-consed view: memoize per view uid (uids are
+        # append-only within ``self.builder``).
+        self._outputs: Dict[int, Any] = {}
 
     def _multiplicities(self, base: DiGraph, z: List[int]) -> Optional[List[int]]:
         if self._knowledge in (Knowledge.NONE, Knowledge.BOUND_N):
@@ -102,6 +106,11 @@ class _FunctionOutput:
 
     def output(self, state: Any) -> Any:
         _input, view = state
+        if view.uid not in self._outputs:
+            self._outputs[view.uid] = self._output(view)
+        return self._outputs[view.uid]
+
+    def _output(self, view: View) -> Any:
         base = extract_base(view, self.builder, skip_root=self._skip_root)
         if base is None:
             return None

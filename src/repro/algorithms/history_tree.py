@@ -51,7 +51,7 @@ from repro.core.agent import BroadcastAlgorithm
 from repro.core.models import CommunicationModel
 from repro.core.network_class import Knowledge
 from repro.graphs.views import View, ViewBuilder
-from repro.linalg.exact import kernel_basis, primitive_integer_vector
+from repro.linalg.exact import integer_kernel_vector
 
 State = Tuple[Any, View]
 
@@ -98,6 +98,9 @@ class HistoryTreeAlgorithm(BroadcastAlgorithm):
         # Solutions are a function of the class DAG alone, so they are
         # shared by all agents in a class; memoize per (uid, cutoff).
         self._solve_cache: Dict[Tuple[int, int], Any] = {}
+        # Different classes often see the same truncated history, hence
+        # the same integer system; memoize its kernel vector by content.
+        self._kernel_cache: Dict[Tuple[Tuple[int, ...], ...], Optional[List[int]]] = {}
 
     # ------------------------------------------------------------------ #
     # automaton
@@ -219,16 +222,12 @@ class HistoryTreeAlgorithm(BroadcastAlgorithm):
         if not rows:
             # No constraints at all: determined only in the trivial
             # single-class case.
-            if len(nodes) == 1:
-                basis = [[Fraction(1)]]
-            else:
+            if len(nodes) != 1:
                 return None
+            z = [1]
         else:
-            basis = kernel_basis(rows)
-        if len(basis) != 1:
-            return None
-        z = primitive_integer_vector(basis[0])
-        if any(x <= 0 for x in z):
+            z = self._kernel_vector(rows)
+        if z is None or any(x <= 0 for x in z):
             return None
         mults: Dict[Any, int] = {}
         for node in grouped.get(0, []):
@@ -238,6 +237,13 @@ class HistoryTreeAlgorithm(BroadcastAlgorithm):
             assert isinstance(label, tuple) and label[0] == "input"
             mults[label[1]] = z[index[node.uid]]
         return mults
+
+    def _kernel_vector(self, rows: List[List[int]]) -> Optional[List[int]]:
+        """The primitive kernel vector of ``rows``, if ``ker`` is a line."""
+        key = tuple(map(tuple, rows))
+        if key not in self._kernel_cache:
+            self._kernel_cache[key] = integer_kernel_vector(rows)
+        return self._kernel_cache[key]
 
     # ------------------------------------------------------------------ #
     # output

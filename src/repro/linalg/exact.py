@@ -1,21 +1,34 @@
-"""Exact rational elimination and integer kernels (§4.2).
+"""Exact integer elimination and integer kernels (§4.2).
 
 The static algorithm solves ``M z = 0`` for the fibre-cardinality vector,
-where ``M`` is a small integer matrix derived from the minimum base.  The
-paper's agents use "Gaussian elimination over the Euclidean ring ℤ"; we
-perform fraction-free-equivalent elimination with ``fractions.Fraction``
-(exact, no overflow in Python) and scale the kernel basis back to the
-primitive integer vector with coprime entries.
+where ``M`` is a small integer matrix derived from the minimum base; the
+history-tree counter behind Table 2's symmetric column solves the same
+kind of homogeneous integer system.  Both use the paper's "Gaussian
+elimination over the Euclidean ring ℤ", here a sparse fraction-free
+Gauss–Jordan elimination: a row is a ``{column: int}`` dict of its
+nonzero entries, a row update is the integer combination that cancels
+the pivot column, and every updated row is divided by the gcd of its
+entries so the numbers stay small (Python integers never overflow).
+
+Columns are scanned in order, so the pivot columns are those of
+elimination over ℚ, and each reduced row is an integer multiple of the
+corresponding row of the reduced row echelon form, which is unique.
+``Fraction``s appear only when a kernel basis is read off; the primitive
+integer kernel vector is that basis scaled to coprime integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from operator import index
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 Matrix = Sequence[Sequence[int]]
+
+#: A sparse integer row: column index → nonzero entry.
+Row = Dict[int, int]
 
 
 def gcd_list(xs: Sequence[int]) -> int:
@@ -34,55 +47,96 @@ def lcm_list(xs: Sequence[int]) -> int:
     return out
 
 
-def _to_fractions(matrix: Matrix) -> List[List[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
+def _primitive(row: Row) -> Row:
+    """``row`` divided by the gcd of its (nonzero) entries."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {c: x // g for c, x in row.items()}
 
 
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    if not rows:
-        return rows, []
-    n_cols = len(rows[0])
+def _cancel(row: Row, pivot: Row, c: int) -> Row:
+    """The primitive integer combination of ``row`` and ``pivot`` that is
+    zero in column ``c`` (both are nonzero there)."""
+    a, p = row[c], pivot[c]
+    g = gcd(a, p)
+    s, t = p // g, a // g
+    out = {k: s * x for k, x in row.items()}
+    for k, x in pivot.items():
+        y = out.get(k, 0) - t * x
+        if y:
+            out[k] = y
+        else:
+            del out[k]  # y == 0 and t * x != 0, so k was present
+    return _primitive(out) if out else out
+
+
+def _reduce(matrix: Matrix) -> Tuple[List[Row], List[int]]:
+    """Sparse fraction-free Gauss–Jordan elimination over ℤ.
+
+    Returns ``(rows, pivots)``: ``rows[r]`` is a primitive integer multiple
+    of row ``r`` of the reduced row echelon form, whose leading entry sits
+    in column ``pivots[r]``.  Entries must be integers (``TypeError``
+    otherwise).
+    """
+    active: List[Row] = []
+    for dense in matrix:
+        row = {c: index(x) for c, x in enumerate(dense) if x}
+        if row:
+            active.append(_primitive(row))
+    reduced: List[Row] = []
     pivots: List[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
+    # A column that is zero in every row stays zero under elimination.
+    for c in sorted({c for row in active for c in row}):
+        candidates = [row for row in active if c in row]
+        if not candidates:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        # Any row with a nonzero here gives the same echelon form; the
+        # sparsest one causes the least fill-in.
+        pivot = min(candidates, key=len)
+        remaining: List[Row] = []
+        for row in active:
+            if row is pivot:
+                continue
+            if c in row:
+                row = _cancel(row, pivot, c)
+                if not row:
+                    continue
+            remaining.append(row)
+        active = remaining
+        reduced = [_cancel(row, pivot, c) if c in row else row for row in reduced]
+        reduced.append(pivot)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if not active:
             break
-    return rows, pivots
+    return reduced, pivots
 
 
 def rational_rank(matrix: Matrix) -> int:
     """The rank of an integer matrix over ℚ (exact)."""
-    _rows, pivots = _rref(_to_fractions(matrix))
-    return len(pivots)
+    return len(_reduce(matrix)[1])
 
 
 def kernel_basis(matrix: Matrix) -> List[List[Fraction]]:
-    """A basis of ``ker`` (right null space) over ℚ, exact."""
-    rows = _to_fractions(matrix)
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    rref, pivots = _rref(rows)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    """A basis of ``ker`` (right null space) over ℚ, exact.
+
+    One vector per non-pivot column ``f``, in column order: ``1`` at
+    ``f``, ``-rref[r][f]`` at each pivot column ``pivots[r]``, ``0``
+    elsewhere.
+    """
+    rows, pivots = _reduce(matrix)
+    n_cols = len(matrix[0]) if len(matrix) else 0
+    pivot_set = set(pivots)
     basis: List[List[Fraction]] = []
-    for fc in free_cols:
+    for fc in range(n_cols):
+        if fc in pivot_set:
+            continue
         vec = [Fraction(0)] * n_cols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
+        for row, pc in zip(rows, pivots):
+            x = row.get(fc)
+            if x:
+                vec[pc] = Fraction(-x, row[pc])
         basis.append(vec)
     return basis
 

@@ -17,7 +17,8 @@ cooperate through two primitives:
   Breaking a stale lease is itself atomic: the claimant ``rename``s the
   dead lease aside before re-acquiring, and POSIX guarantees exactly one
   renamer wins — two workers racing on the same corpse resolve to one
-  owner, never two.
+  owner, never two.  A late renamer that finds a fresh lease under its
+  rename (the winner's) links it back and backs off.
 
 Claiming is incremental, not a full rescan: one directory listing per
 claim pass (names only — records are read lazily, not re-``stat``-ed en
@@ -273,46 +274,69 @@ class JobQueue:
             os.close(fd)
         return True
 
-    def _lease_info(self, job_id: str) -> Optional[Dict[str, Any]]:
+    @staticmethod
+    def _read_lease(path: str) -> Optional[Dict[str, Any]]:
         try:
-            with open(self.lease_path(job_id), "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
 
-    def _lease_stale(self, job_id: str) -> bool:
-        info = self._lease_info(job_id)
+    def _lease_info(self, job_id: str) -> Optional[Dict[str, Any]]:
+        return self._read_lease(self.lease_path(job_id))
+
+    def _stale_at(self, path: str) -> bool:
+        """Whether the lease file at ``path`` is stale."""
+        info = self._read_lease(path)
         if info is None:
             # Unreadable lease: age it by file mtime; missing file = stale.
             try:
-                mtime = os.path.getmtime(self.lease_path(job_id))
+                mtime = os.path.getmtime(path)
             except OSError:
                 return True
             return time.time() - mtime > self.lease_ttl
         return time.time() - float(info.get("heartbeat", 0.0)) > self.lease_ttl
+
+    def _lease_stale(self, job_id: str) -> bool:
+        return self._stale_at(self.lease_path(job_id))
 
     def _break_lease(self, job_id: str) -> bool:
         """Atomically retire a stale lease: rename it aside, then unlink.
 
         ``os.rename`` succeeds for exactly one caller — the second racer
         gets ``ENOENT`` and backs off — so two workers spotting the same
-        corpse can never both proceed to re-acquire.  The tombstone name
-        carries :data:`~repro.store.atomic.TMP_PREFIX` so a crash between
-        rename and unlink leaves only gc-sweepable residue.
+        corpse can never both proceed to re-acquire.  The rename takes
+        whatever lease is at the path *now*, which may be a rival's fresh
+        one: between our staleness check and the rename, the rival broke
+        the corpse and re-acquired.  So staleness is judged again on the
+        tombstone, and a fresh lease is linked back (``os.link`` fails if
+        someone created a lease meanwhile) while we back off.  The
+        tombstone name carries :data:`~repro.store.atomic.TMP_PREFIX` so
+        a crash between rename and unlink leaves only gc-sweepable
+        residue.
         """
+        path = self.lease_path(job_id)
         tombstone = os.path.join(
             self.leases_dir,
             f"{TMP_PREFIX}broken-{job_id}-{os.getpid()}-{time.monotonic_ns()}",
         )
         try:
-            os.rename(self.lease_path(job_id), tombstone)
+            os.rename(path, tombstone)
         except OSError:
             return False
+        stale = self._stale_at(tombstone)
+        if not stale:
+            try:
+                os.link(tombstone, path)
+            except OSError:
+                # A newer lease holds the path: the rival's next
+                # heartbeat sees another owner and gives the job up.
+                pass
         try:
             os.unlink(tombstone)
         except OSError:  # pragma: no cover - sweep_temp_files reclaims it
             pass
-        return True
+        return stale
 
     def _release_lease(self, job_id: str) -> None:
         try:

@@ -118,3 +118,30 @@ class TestOutputsBeforeStabilization:
         ex = Execution(alg, g, inputs=INPUTS)
         ex.step()
         assert all(o is None for o in ex.outputs())
+
+
+class TestOutputMemo:
+    """The per-view output memo changes nothing: every round, each agent's
+    memoized output equals that of a fresh instance with an empty memo
+    (sharing the builder, so view uids mean the same views)."""
+
+    @pytest.mark.parametrize("model", ENRICHED)
+    @pytest.mark.parametrize("knowledge", [Knowledge.NONE, Knowledge.EXACT_N, Knowledge.LEADER])
+    def test_matches_fresh_instances_every_round(self, model, knowledge):
+        g = graph_for(model, seed=1)
+        inputs = INPUTS if knowledge is not Knowledge.LEADER else [
+            (v, i == 0) for i, v in enumerate(INPUTS)
+        ]
+        params = dict(knowledge=knowledge, n=len(INPUTS))
+
+        def fresh_output(state):
+            return StaticFunctionAlgorithm(AVERAGE, model, builder=alg.builder, **params).output(state)
+
+        alg = StaticFunctionAlgorithm(AVERAGE, model, **params)
+        ex = Execution(alg, g, inputs=inputs)
+        for _ in range(24):
+            ex.step()
+            memoized = ex.outputs()
+            assert ex.outputs() == memoized
+            assert memoized == [fresh_output(s) for s in ex.states]
+        assert memoized == [AVERAGE(INPUTS)] * len(INPUTS)

@@ -99,3 +99,37 @@ class TestKnowledgeVariants:
         ex = Execution(alg, g, inputs=INPUTS5)
         ex.step()
         assert all(o is None for o in ex.outputs())
+
+
+class TestKernelMemo:
+    """Memoizing kernel solves by system content changes nothing: every
+    round, each agent's output equals that of a fresh instance with empty
+    caches (sharing the builder, so view uids mean the same views)."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(),
+            dict(knowledge=Knowledge.EXACT_N, n=5),
+            dict(knowledge=Knowledge.LEADER, leader_count=1),
+        ],
+        ids=["none", "exact-n", "leader"],
+    )
+    def test_matches_fresh_instances_every_round(self, params):
+        dyn = random_dynamic_symmetric(5, seed=3)
+        inputs = INPUTS5 if "leader_count" not in params else [
+            (v, i == 0) for i, v in enumerate(INPUTS5)
+        ]
+        alg = HistoryTreeAlgorithm(**params)
+        lookups = []
+        solve = alg._kernel_vector
+        alg._kernel_vector = lambda rows: lookups.append(rows) or solve(rows)
+        ex = Execution(alg, dyn, inputs=inputs)
+        for _ in range(20):
+            ex.step()
+            memoized = ex.outputs()
+            fresh = [HistoryTreeAlgorithm(builder=alg.builder, **params).output(s) for s in ex.states]
+            assert memoized == fresh
+        assert None not in memoized
+        # Distinct classes set up identical systems: the memo was hit.
+        assert len(alg._kernel_cache) < len(lookups)

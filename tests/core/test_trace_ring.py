@@ -11,6 +11,7 @@ trace suite, which runs unchanged.
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -100,7 +101,7 @@ class TestExportJsonl:
         tracer = _traced_run(7, ring_capacity=4)
         path = str(tmp_path / "trace.jsonl")
         assert tracer.export_jsonl(path, manifest={"kind": "test"}) == path
-        manifest, events = events_from_jsonl(open(path).read())
+        manifest, events = events_from_jsonl(Path(path).read_text())
         assert manifest == {"kind": "test"}
         assert events[-1].kind == "summary"
         decoded_rounds = [e for e in events if e.kind == "round"]
@@ -112,14 +113,14 @@ class TestExportJsonl:
         tracer = _traced_run(3)
         path = str(tmp_path / "trace.jsonl")
         tracer.export_jsonl(path, include_summary=False)
-        _, events = events_from_jsonl(open(path).read())
+        _, events = events_from_jsonl(Path(path).read_text())
         assert all(e.kind != "summary" for e in events)
 
     def test_crash_mid_export_leaves_previous_file(self, tmp_path, monkeypatch):
         tracer = _traced_run(3)
         path = str(tmp_path / "trace.jsonl")
         tracer.export_jsonl(path)
-        before = open(path).read()
+        before = Path(path).read_text()
 
         # Fault injection: the atomic rename step dies.  The export goes
         # tempfile-then-replace, so the original must be untouched.
@@ -133,4 +134,4 @@ class TestExportJsonl:
         monkeypatch.setattr(os, "replace", exploding_replace)
         with pytest.raises(OSError):
             _traced_run(9).export_jsonl(path)
-        assert open(path).read() == before
+        assert Path(path).read_text() == before

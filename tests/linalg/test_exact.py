@@ -71,6 +71,12 @@ class TestKernel:
         assert z == [2, 1]
         assert gcd_list(z) == 1
 
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(TypeError):
+            kernel_basis([[Fraction(1, 2), 1]])
+        with pytest.raises(TypeError):
+            rational_rank([[0.5, 1.0]])
+
 
 class TestPrimitiveVector:
     def test_scaling_and_sign(self):

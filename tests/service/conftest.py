@@ -68,8 +68,19 @@ class ServiceThread:
             time.sleep(0.02)
         return False
 
+    async def _shutdown(self):
+        await self.service.close()
+        # Closing the server leaves live connection handlers running (a
+        # client may have hung up moments ago, unnoticed until the next
+        # poll).  Cancel them so each closes its writer on a running
+        # loop instead of leaking its socket when the loop is closed.
+        handlers = await self._pending()
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+
     def stop(self):
-        asyncio.run_coroutine_threadsafe(self.service.close(), self.loop).result(10)
+        asyncio.run_coroutine_threadsafe(self._shutdown(), self.loop).result(10)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
         self.loop.close()

@@ -133,6 +133,8 @@ class TestServeSubprocess:
             except subprocess.TimeoutExpired:  # pragma: no cover
                 process.kill()
                 process.wait(timeout=15)
+            process.stdout.close()
+            process.stderr.close()
 
     def test_sigterm_shuts_down_pool_workers(self, tmp_path):
         """SIGTERM must run the graceful path: the embedded

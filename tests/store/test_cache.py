@@ -133,7 +133,8 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         store.put(result_key("a", {}), {"v": 1}, kind="a")
         store.put(result_key("b", {}), {"v": 2}, kind="b")
-        lines = [json.loads(l) for l in open(store.journal_path)]
+        with open(store.journal_path) as fh:
+            lines = [json.loads(l) for l in fh]
         assert [l["op"] for l in lines] == ["put", "put"]
 
     def test_gc_prunes_stale_versions_and_corruption(self, tmp_path):
@@ -178,9 +179,8 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         good = result_key("thing", {"x": 1})
         store.put(good, {"v": 1}, kind="thing")
-        assert json.load(open(store.entry_path(good)))["snapshot_codec"] == (
-            SNAPSHOT_CODEC_VERSION
-        )
+        with open(store.entry_path(good)) as fh:
+            assert json.load(fh)["snapshot_codec"] == SNAPSHOT_CODEC_VERSION
         stale_entries = {
             result_key("thing", {"x": 2}): "0",   # older codec stamp
             result_key("thing", {"x": 3}): None,  # pre-quotient: no stamp

@@ -21,7 +21,7 @@ from repro.store.jobs import (
     run_worker,
     table_document,
 )
-from repro.store.scheduler import DONE, FAILED, RUNNING, JobQueue
+from repro.store.scheduler import DONE, FAILED, QUEUED, RUNNING, JobQueue
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -249,6 +249,44 @@ class TestLeaseTakeoverRace:
         # lease is fresh now, so _lease_stale says no and claim skips it.
         assert loser.claim() is None
         winner.heartbeat(job_id)  # the winner still owns the lease
+
+    @pytest.mark.parametrize("status", [QUEUED, RUNNING])
+    def test_break_after_rival_takeover_restores_rival_lease(self, tmp_path, status):
+        """The loser judges the corpse's lease stale; before it acts, a
+        rival breaks the corpse and re-acquires.  The loser's rename then
+        takes the rival's *fresh* lease: it must put it back and back
+        off, not claim the job a second time (RUNNING: stale takeover)
+        or leave the rival without a lease (QUEUED: corpse branch)."""
+        root = os.path.join(tmp_path, "queue")
+        corpse = JobQueue(root, owner="corpse")
+        record = corpse.submit("noop", {"i": 2})
+        if status == RUNNING:
+            assert corpse.claim() is not None
+        else:  # died between taking the lease and writing RUNNING
+            assert corpse._try_acquire_lease(record.id)
+        with open(corpse.lease_path(record.id), "w", encoding="utf-8") as fh:
+            json.dump({"owner": "corpse", "heartbeat": time.time() - 3600}, fh)
+        rival = JobQueue(root, lease_ttl=30.0, owner="rival")
+        loser = JobQueue(root, lease_ttl=30.0, owner="loser")
+        judge = loser._lease_stale
+        rival_claims = []
+
+        def judge_then_let_rival_claim(job_id):
+            verdict = judge(job_id)
+            loser._lease_stale = judge
+            rival_claims.append(rival.claim())
+            return verdict
+
+        loser._lease_stale = judge_then_let_rival_claim
+        assert loser.claim() is None
+        assert [r.id for r in rival_claims if r is not None] == [record.id]
+        assert (rival.lease_info(record.id) or {}).get("owner") == "rival"
+        rival.heartbeat(record.id)
+        stored = rival.get(record.id)
+        assert stored.status == RUNNING
+        assert stored.attempts == (1 if status == RUNNING else 0)
+        assert loser.counters["takeovers"] == 0
+        assert os.listdir(rival.leases_dir) == [f"{record.id}.lock"]  # no tombstone left
 
 
 class TestKillResume:
