@@ -25,11 +25,21 @@ the CLI operating on the same root.  Routes:
   stats when serving with one.
 
 Everything that touches disk runs in the event loop's default thread
-executor; handler coroutines themselves never block.  No handler spawns
-tasks: an SSE stream lives entirely inside its connection's handler
-coroutine, so a client disconnect unwinds the coroutine and leaves the
-loop exactly as it found it — the test suite asserts this through
-``asyncio.all_tasks()``.
+executor; handler coroutines themselves never block.  An SSE stream
+lives inside its connection's handler coroutine plus at most one child
+task, the pending read on its socket, which the handler cancels and
+awaits on every way out.  So a client disconnect, the job's end or
+:meth:`ExperimentService.close` leaves the loop exactly as it found it;
+the test suite asserts this through ``asyncio.all_tasks()``.
+
+``python -m repro serve --pools N`` runs the service and an
+:class:`~repro.store.orchestrator.Orchestrator` on one event loop
+(:meth:`ExperimentService.embed`), and the two push to each other
+instead of waiting for timers: a submission wakes the orchestrator's
+idle claim loop, and every job the orchestrator settles wakes that
+job's SSE streams at once.  The poll intervals stay as the only path
+for what the loop cannot see: external ``store run`` workers,
+``--pools 0``, and progress/trace events appended by pool children.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ import asyncio
 import os
 import re
 import signal
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 
 from repro.envflags import env_int
 from repro.service.http import (
@@ -131,8 +141,9 @@ class ExperimentService:
         self.keepalive_interval = float(keepalive_interval)
         self.max_head = int(max_head)
         self.max_body = int(max_body)
-        #: Embedded orchestrator (when serving with one); its live
-        #: ``stats`` dict is surfaced in ``/healthz``.
+        #: Embedded orchestrator (when serving with one, see
+        #: :meth:`embed`); its live ``stats`` dict is surfaced in
+        #: ``/healthz``.
         self.orchestrator = None
         self.counters: Dict[str, int] = {
             "requests": 0,
@@ -145,6 +156,12 @@ class ExperimentService:
             "errors": 0,
         }
         self._server: Optional[asyncio.AbstractServer] = None
+        self._closing = False
+        #: Live connection handlers and their writers, for close().
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: Per job id, the futures its SSE streams wait on; resolved by
+        #: :meth:`job_settled`.
+        self._settle_waiters: Dict[str, Set[asyncio.Future]] = {}
         self.host: Optional[str] = None
         self.port: Optional[int] = None
 
@@ -163,6 +180,7 @@ class ExperimentService:
             port = service_port()
         if backlog is None:
             backlog = service_backlog()
+        self._closing = False
         self._server = await asyncio.start_server(
             self._handle_connection, host, port, backlog=backlog
         )
@@ -175,10 +193,55 @@ class ExperimentService:
         await self._server.serve_forever()
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting and end every live connection; returns once
+        each handler has unwound.
+
+        Closing a connection feeds its reader EOF, so an SSE stream or an
+        idle keep-alive read ends through the same path as a client that
+        hung up.  Only then is the server awaited: since Python 3.12,
+        ``wait_closed()`` blocks while any connection is open.
+        """
+        if self._server is None:
+            return
+        self._closing = True
+        self._server.close()
+        for writer in list(self._connections.values()):
+            writer.close()
+        # A stream whose socket still holds unsent bytes sees no EOF until
+        # they flush; waking it lets it notice its writer is closing.
+        for job_id in list(self._settle_waiters):
+            self.job_settled(job_id)
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._server.wait_closed()
+        self._server = None
+
+    def embed(self, orchestrator) -> None:
+        """Share this service's event loop with ``orchestrator`` (the
+        caller runs its :meth:`~repro.store.orchestrator.Orchestrator.run`
+        there): each submission wakes it, and each job it settles wakes
+        that job's SSE streams."""
+        self.orchestrator = orchestrator
+        orchestrator.on_settle = self.job_settled
+
+    def job_settled(self, job_id: str) -> None:
+        """Wake the SSE streams of ``job_id`` now rather than at their
+        next poll (call on the service's loop)."""
+        for waiter in self._settle_waiters.pop(job_id, ()):
+            if not waiter.done():
+                waiter.set_result(None)
+
+    def _settle_waiter(self, job_id: str) -> asyncio.Future:
+        waiter = asyncio.get_running_loop().create_future()
+        self._settle_waiters.setdefault(job_id, set()).add(waiter)
+        return waiter
+
+    def _drop_settle_waiter(self, job_id: str, waiter: asyncio.Future) -> None:
+        waiters = self._settle_waiters.get(job_id)
+        if waiters is not None:
+            waiters.discard(waiter)
+            if not waiters:
+                del self._settle_waiters[job_id]
 
     @property
     def address(self) -> str:
@@ -191,8 +254,10 @@ class ExperimentService:
 
     async def _handle_connection(self, reader, writer) -> None:
         parser = RequestReader(reader, max_head=self.max_head, max_body=self.max_body)
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
-            while True:
+            while not self._closing:
                 try:
                     request = await parser.read_request()
                 except HttpError as exc:
@@ -236,6 +301,8 @@ class ExperimentService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                del self._connections[task]
 
     # -- routing --------------------------------------------------------- #
 
@@ -370,6 +437,8 @@ class ExperimentService:
         record = await self._in_executor(
             lambda: self.queue.submit(kind, params)
         )
+        if self.orchestrator is not None:
+            self.orchestrator.wake()
         self.counters["submitted"] += 1
         location = f"/v1/runs/{record.id}"
         payload = record.to_dict()
@@ -448,83 +517,95 @@ class ExperimentService:
         are per-connection and carry **no** id, so they can never
         advance a client's resume cursor into skipping logged events.
 
-        The stream lives entirely in this coroutine: polling the event
-        log, watching the record, and watching the socket for client
-        disconnect all interleave here, with no spawned tasks to leak.
+        One loop serves the stream.  Each pass sends what is new, then
+        waits for the first of three things: EOF on the socket (an SSE
+        client sends nothing after its request, so EOF means it hung up
+        and stray bytes are ignored), a settle wake-up from
+        :meth:`job_settled`, or the poll timeout, which picks up logged
+        events and work this loop cannot see.  The wake-up is armed
+        before each pass reads the record, so a job that settles between
+        that read and the wait ends the wait at once.
         """
-        payload = await self._in_executor(self._record_payload, job_id)
-        if payload is None:
-            raise HttpError(404, f"no such run: {job_id}")
-        last_id = 0
-        raw_resume = request.header("last-event-id")
-        if raw_resume is not None:
-            try:
-                last_id = max(0, int(raw_resume))
-            except ValueError:
-                last_id = 0
-        self.counters["sse_streams"] += 1
-        writer.write(sse_headers(keep_alive=False))
-        writer.write(sse_event(payload, event="snapshot"))
-        await writer.drain()
-        last_status = payload["status"]
-        idle = 0.0
-        while True:
-            events = await self._in_executor(self.events.read, job_id, last_id)
-            wrote = False
-            for record in events:
-                writer.write(
-                    sse_event(
-                        record["data"], event=record["event"], event_id=record["id"]
-                    )
-                )
-                last_id = record["id"]
-                self.counters["sse_events"] += 1
-                wrote = True
+        settled = self._settle_waiter(job_id)
+        read: Optional[asyncio.Future] = None
+        try:
             payload = await self._in_executor(self._record_payload, job_id)
-            if payload is None:  # record GC'd mid-stream: treat as gone
-                writer.write(sse_event({"status": "gone"}, event="end"))
-                await writer.drain()
-                return
-            if payload["status"] != last_status:
-                last_status = payload["status"]
-                writer.write(sse_event(payload, event="status"))
-                wrote = True
-            if payload["status"] in _TERMINAL:
-                # Drain anything the runner logged between our read and
-                # the terminal transition, then close the feed.
-                for record in await self._in_executor(
-                    self.events.read, job_id, last_id
-                ):
-                    writer.write(
-                        sse_event(
-                            record["data"], event=record["event"], event_id=record["id"]
-                        )
-                    )
-                    last_id = record["id"]
-                    self.counters["sse_events"] += 1
-                writer.write(sse_event(payload, event="end"))
-                await writer.drain()
-                return
-            if wrote:
-                idle = 0.0
-                await writer.drain()
-            elif idle >= self.keepalive_interval:
-                idle = 0.0
-                writer.write(sse_comment())
-                await writer.drain()
-            # Sleep on the *read* side of the socket: an SSE client
-            # sends nothing more, so data means noise we ignore and EOF
-            # means the client hung up — the prompt disconnect signal.
-            try:
-                data = await asyncio.wait_for(
-                    reader.read(4096), timeout=self.poll_interval
+            if payload is None:
+                raise HttpError(404, f"no such run: {job_id}")
+            last_id = 0
+            raw_resume = request.header("last-event-id")
+            if raw_resume is not None:
+                try:
+                    last_id = max(0, int(raw_resume))
+                except ValueError:
+                    last_id = 0
+            self.counters["sse_streams"] += 1
+            writer.write(sse_headers(keep_alive=False))
+            writer.write(sse_event(payload, event="snapshot"))
+            await writer.drain()
+            last_status = payload["status"]
+            idle = 0.0
+            while True:
+                if settled.done():
+                    settled = self._settle_waiter(job_id)
+                last_id, wrote = await self._send_logged(job_id, last_id, writer)
+                payload = await self._in_executor(self._record_payload, job_id)
+                if payload is None:  # record GC'd mid-stream: treat as gone
+                    writer.write(sse_event({"status": "gone"}, event="end"))
+                    await writer.drain()
+                    return
+                if payload["status"] != last_status:
+                    last_status = payload["status"]
+                    writer.write(sse_event(payload, event="status"))
+                    wrote = True
+                if payload["status"] in _TERMINAL:
+                    # Drain anything the runner logged between our read and
+                    # the terminal transition, then close the feed.
+                    await self._send_logged(job_id, last_id, writer)
+                    writer.write(sse_event(payload, event="end"))
+                    await writer.drain()
+                    return
+                if wrote:
+                    idle = 0.0
+                    await writer.drain()
+                elif idle >= self.keepalive_interval:
+                    idle = 0.0
+                    writer.write(sse_comment())
+                    await writer.drain()
+                if read is None:
+                    read = asyncio.ensure_future(reader.read(4096))
+                done, _ = await asyncio.wait(
+                    {read, settled},
+                    timeout=self.poll_interval,
+                    return_when=asyncio.FIRST_COMPLETED,
                 )
-                if not data:
-                    return  # client disconnected
-            except asyncio.TimeoutError:
-                idle += self.poll_interval
-            if writer.is_closing():
-                return
+                if read in done:
+                    if read.exception() is not None or not read.result():
+                        return  # client disconnected
+                    read = None
+                elif not done:
+                    idle += self.poll_interval
+                if writer.is_closing():
+                    return
+        finally:
+            self._drop_settle_waiter(job_id, settled)
+            if read is not None:
+                read.cancel()
+                await asyncio.wait({read})
+                if not read.cancelled():
+                    read.exception()  # retrieved, so never reported as lost
+
+    async def _send_logged(self, job_id: str, last_id: int, writer) -> Tuple[int, bool]:
+        """Write the logged events after ``last_id``; returns the new
+        resume cursor and whether anything was written."""
+        events = await self._in_executor(self.events.read, job_id, last_id)
+        for record in events:
+            writer.write(
+                sse_event(record["data"], event=record["event"], event_id=record["id"])
+            )
+            last_id = record["id"]
+            self.counters["sse_events"] += 1
+        return last_id, bool(events)
 
 
 def publish_service_metrics(registry, counters: Dict[str, int]) -> None:
@@ -554,7 +635,8 @@ async def serve_async(
     With ``pools >= 1`` an :class:`~repro.store.orchestrator.Orchestrator`
     runs *in the same event loop* (``idle_exit=False`` — it naps when the
     queue drains instead of exiting), so a single ``python -m repro
-    serve`` process both accepts submissions and executes them.
+    serve`` process both accepts submissions and executes them, and
+    :meth:`ExperimentService.embed` lets each wake the other.
     ``pools=0`` serves the API only — submissions then wait for external
     workers on the same root.  ``announce`` receives one dict with the
     bound address once the socket is live (the CLI prints it as JSON so
@@ -574,7 +656,7 @@ async def serve_async(
             window=window,
             idle_exit=False,
         )
-        service.orchestrator = orchestrator
+        service.embed(orchestrator)
         orchestrator_task = asyncio.ensure_future(orchestrator.run())
     if announce is not None:
         announce(
@@ -609,15 +691,18 @@ async def serve_async(
     except asyncio.CancelledError:
         pass
     finally:
+        for signum in handled_signals:
+            loop.remove_signal_handler(signum)
+        # close() first: it ends serve_forever(), whose own cancellation
+        # path awaits wait_closed() and so, since Python 3.12, every
+        # connection that close() ends.
+        await service.close()
         for task in (serve_task, stop_task):
             task.cancel()
             try:
                 await task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
-        for signum in handled_signals:
-            loop.remove_signal_handler(signum)
-        await service.close()
         if orchestrator_task is not None:
             # Cancelling lets Orchestrator.run()'s own finally block
             # drain in-flight dispatches and shut its pools down.

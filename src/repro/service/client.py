@@ -11,7 +11,7 @@ The client speaks exactly the service's API:
 * :meth:`submit` posts a job or scenario config and returns the parsed
   response (a ``303`` cached short-circuit and a ``202`` accepted record
   are both normal outcomes, distinguished by ``"status"``);
-* :meth:`wait` polls a run to a terminal state;
+* :meth:`wait` follows a run's SSE feed to its ``end`` event;
 * :meth:`result_bytes` fetches canonical entry bytes, with optional
   conditional ``If-None-Match`` revalidation (``304`` returns ``None``);
 * :meth:`events` generates the run's SSE feed — each yielded dict is one
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import time
 from typing import Any, Dict, Iterator, Optional, Tuple
 
@@ -150,20 +151,31 @@ class ServiceClient:
             raise ServiceError(status, parsed)
         return payload
 
-    def wait(
-        self, job_id: str, timeout: float = 120.0, poll: float = 0.2
-    ) -> Dict[str, Any]:
-        """Poll a run until it is ``done`` or ``failed``."""
+    def wait(self, job_id: str, timeout: float = 120.0) -> Dict[str, Any]:
+        """Follow a run's SSE feed until it is ``done`` or ``failed``;
+        returns the ``end`` event's record, the same dict
+        :meth:`run_status` returns.
+
+        Raises :class:`TimeoutError` when the run is still going after
+        ``timeout`` seconds, and :class:`ServiceError` 404 when the run
+        is unknown or its record vanished while we watched.
+        """
         deadline = time.monotonic() + timeout
-        while True:
-            record = self.run_status(job_id)
-            if record["status"] in ("done", "failed"):
-                return record
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"run {job_id} still {record['status']} after {timeout}s"
-                )
-            time.sleep(poll)
+        status = "unknown"
+        try:
+            for event in self._feed(job_id, 0, timeout, deadline):
+                data = event["data"]
+                if event["event"] in ("snapshot", "status"):
+                    status = data["status"]
+                elif event["event"] == "end":
+                    if data.get("status") == "gone":
+                        raise ServiceError(
+                            404, {"error": {"message": f"run {job_id} is gone"}}
+                        )
+                    return data
+        except socket.timeout as exc:
+            raise TimeoutError(f"run {job_id} still {status} after {timeout}s") from exc
+        raise ConnectionError(f"the event feed of run {job_id} closed before its end")
 
     def run(self, job: Dict[str, Any], timeout: float = 120.0) -> bytes:
         """Submit, wait, fetch: the document bytes of one job — whether
@@ -194,14 +206,28 @@ class ServiceClient:
         connection: an SSE response has no Content-Length, so it cannot
         share the keep-alive socket.
         """
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout if timeout is None else timeout
+        return self._feed(
+            job_id, last_event_id, self.timeout if timeout is None else timeout
         )
+
+    def _feed(
+        self,
+        job_id: str,
+        last_event_id: int,
+        timeout: float,
+        deadline: Optional[float] = None,
+    ) -> Iterator[Dict[str, Any]]:
+        """:meth:`events`, optionally raising ``socket.timeout`` once the
+        ``time.monotonic()`` ``deadline`` passes, even mid-read."""
+        conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
         try:
             headers = {"Accept": "text/event-stream"}
             if last_event_id:
                 headers["Last-Event-ID"] = str(last_event_id)
             conn.request("GET", f"/v1/runs/{job_id}/events", headers=headers)
+            # The response takes the socket over (the stream is
+            # Connection: close); keep it to bound each read.
+            sock = conn.sock
             response = conn.getresponse()
             if response.status != 200:
                 payload = response.read()
@@ -210,6 +236,11 @@ class ServiceClient:
             event: Dict[str, Any] = {"event": "message", "data": None, "id": None}
             data_lines = []
             while True:
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise socket.timeout(f"deadline passed on run {job_id}")
+                    sock.settimeout(remaining)
                 raw = response.readline()
                 if not raw:
                     return  # stream closed

@@ -25,6 +25,14 @@ arbitrarily long without being stolen — while a SIGKILLed orchestrator
 stops heartbeating everything at once, and its whole window is recovered
 by surviving claimants after ``REPRO_LEASE_STALE_SECONDS=...``.
 
+When a process embeds the orchestrator next to other components on one
+event loop (``python -m repro serve --pools N``), they talk in-process
+instead of through timers: :meth:`Orchestrator.wake` cuts an idle nap
+short the moment a job is submitted, and :attr:`Orchestrator.on_settle`
+hears about every job the orchestrator settles.  The poll interval stays
+the only path for work it cannot see, such as submissions by other
+processes on the same root.
+
 Dedup rides the content-addressed store: before dispatching, the
 orchestrator predicts the job's document key
 (:func:`~repro.store.jobs.expected_result_key`).  A key already in the
@@ -49,7 +57,7 @@ import os
 import socket
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.store.cache import ResultStore
 from repro.store.jobs import expected_result_key, open_queue, open_store, run_job
@@ -152,7 +160,11 @@ class Orchestrator:
         self._inflight_keys: Dict[str, str] = {}  # result_key -> job id
         self._waiters: Dict[str, List[JobRecord]] = {}
         self._dispatch_tasks: "set" = set()
-        self._wake = asyncio.Event()
+        #: Created by run(), so it belongs to the loop that runs it.
+        self._wake: Optional[asyncio.Event] = None
+        #: Called on the loop with the id of every job this orchestrator
+        #: settles: completed, failed, requeued or served from the store.
+        self.on_settle: Optional[Callable[[str], None]] = None
         self.stats: Dict[str, int] = {
             "claimed": 0,
             "dispatched": 0,
@@ -199,6 +211,24 @@ class Orchestrator:
         self._rr = choice + 1
         return self._pools[choice]
 
+    # -- wake-ups --------------------------------------------------------- #
+
+    def wake(self) -> None:
+        """End the current idle nap now (call on the loop running
+        :meth:`run`): new work was submitted."""
+        if self._wake is not None:
+            self._wake.set()
+
+    def _settled(self, job_id: str) -> None:
+        if self.on_settle is not None:
+            self.on_settle(job_id)
+
+    async def _nap(self, timeout: float) -> None:
+        try:
+            await asyncio.wait_for(self._wake.wait(), timeout=timeout)
+        except asyncio.TimeoutError:
+            pass
+
     # -- admission and dispatch ----------------------------------------- #
 
     def _inflight_total(self) -> int:
@@ -212,6 +242,7 @@ class Orchestrator:
             self.queue.complete(record.id, result_key=key)
             self.stats["dedup_store"] += 1
             self.stats["completed"] += 1
+            self._settled(record.id)
             return
         if key is not None and key in self._inflight_keys:
             self._waiters.setdefault(key, []).append(record)
@@ -253,6 +284,7 @@ class Orchestrator:
             self.stats["completed"] += 1
         else:
             self.stats["failed"] += 1
+        self._settled(record.id)
         if key is not None:
             # Whatever happened to the winner, re-admit the parked
             # duplicates: a success completes them straight from the
@@ -288,6 +320,7 @@ class Orchestrator:
         """Claim → dispatch → complete until the queue drains (or
         ``max_jobs`` have been admitted); returns the stats dict."""
         loop = asyncio.get_running_loop()
+        self._wake = asyncio.Event()
         self._pools = [
             _Pool(ProcessPoolExecutor(max_workers=self.pool_workers))
             for _ in range(self.n_pools)
@@ -300,6 +333,9 @@ class Orchestrator:
         heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
         try:
             while True:
+                # Cleared before the claim pass, so a wake-up that lands
+                # while it runs ends the nap after it.
+                self._wake.clear()
                 room = self.window - self._inflight_total()
                 if self.max_jobs is not None:
                     room = min(room, self.max_jobs - self.stats["claimed"])
@@ -318,18 +354,14 @@ class Orchestrator:
                     )
                     if self.idle_exit or budget_spent:
                         break
-                    await asyncio.sleep(self.poll_interval)
+                    # Idle: nap until a submission wakes us, or for one
+                    # poll interval (other processes submit too).
+                    await self._nap(self.poll_interval)
                     continue
                 if self._inflight_total() >= self.window or not claimed:
-                    # Window full (or queue momentarily empty): sleep
+                    # Window full (or queue momentarily empty): nap
                     # until a dispatch completes, or briefly.
-                    self._wake.clear()
-                    try:
-                        await asyncio.wait_for(
-                            self._wake.wait(), timeout=self.poll_interval * 4
-                        )
-                    except asyncio.TimeoutError:
-                        pass
+                    await self._nap(self.poll_interval * 4)
         finally:
             heartbeat_task.cancel()
             # Let in-flight dispatch tasks finish recording outcomes.

@@ -292,13 +292,16 @@ class TestBatchBackends:
     def test_env_default_respected(self, monkeypatch):
         from repro.core.engine.vector import clear_vector_stats, vector_stats
 
+        # Sequential on purpose: the counters live in the process that
+        # steps the executions, and REPRO_PARALLEL=1 would move that into
+        # pool children (pooled vector jobs: test_parallel_backend_identical).
         monkeypatch.setenv("REPRO_VECTOR", "1")
         clear_vector_stats()
-        run_batch(_batch_jobs())
+        run_batch(_batch_jobs(), parallel=False)
         assert vector_stats()["activations"] == 2
         monkeypatch.setenv("REPRO_VECTOR", "0")
         clear_vector_stats()
-        run_batch(_batch_jobs())
+        run_batch(_batch_jobs(), parallel=False)
         assert vector_stats()["activations"] == 0
 
     def test_parallel_backend_identical(self, monkeypatch):

@@ -5,6 +5,9 @@ blocking.  :class:`ServiceThread` runs one service on its own event loop
 in a daemon thread — bound to port 0, so suites parallelize — and gives
 tests a threadsafe window into that loop (``pending_tasks`` is how the
 SSE-disconnect test proves a vanished client leaves nothing behind).
+Given ``orchestrator=`` keyword arguments it also embeds an
+:class:`~repro.store.orchestrator.Orchestrator` on that loop, wired the
+way ``python -m repro serve --pools N`` wires it.
 """
 
 from __future__ import annotations
@@ -17,19 +20,27 @@ import pytest
 
 from repro.service.app import ExperimentService
 from repro.service.client import ServiceClient
+from repro.store.orchestrator import Orchestrator
 
 
 class ServiceThread:
     """One :class:`ExperimentService` on a dedicated loop + thread."""
 
-    def __init__(self, root, **kwargs):
+    def __init__(self, root, orchestrator=None, **kwargs):
         self.loop = asyncio.new_event_loop()
         self.service = ExperimentService(root, **kwargs)
+        self.orchestrator = None
+        self.orchestrator_task = None
+        if orchestrator is not None:
+            self.orchestrator = Orchestrator(root, idle_exit=False, **orchestrator)
+            self.service.embed(self.orchestrator)
         started = threading.Event()
 
         def runner():
             asyncio.set_event_loop(self.loop)
             self.loop.run_until_complete(self.service.start(port=0))
+            if self.orchestrator is not None:
+                self.orchestrator_task = self.loop.create_task(self.orchestrator.run())
             started.set()
             self.loop.run_forever()
 
@@ -59,6 +70,14 @@ class ServiceThread:
         future = asyncio.run_coroutine_threadsafe(self._pending(), self.loop)
         return future.result(10)
 
+    def call(self, fn, *args):
+        """Run ``fn(*args)`` on the service loop; returns its result."""
+
+        async def on_loop():
+            return fn(*args)
+
+        return asyncio.run_coroutine_threadsafe(on_loop(), self.loop).result(10)
+
     def wait_idle(self, timeout: float = 5.0) -> bool:
         """True once no connection-handler tasks remain on the loop."""
         deadline = time.monotonic() + timeout
@@ -70,14 +89,11 @@ class ServiceThread:
 
     async def _shutdown(self):
         await self.service.close()
-        # Closing the server leaves live connection handlers running (a
-        # client may have hung up moments ago, unnoticed until the next
-        # poll).  Cancel them so each closes its writer on a running
-        # loop instead of leaking its socket when the loop is closed.
-        handlers = await self._pending()
-        for task in handlers:
-            task.cancel()
-        await asyncio.gather(*handlers, return_exceptions=True)
+        if self.orchestrator_task is not None:
+            # As serve does: cancelling lets run() drain in-flight
+            # dispatches and shut its pools down.
+            self.orchestrator_task.cancel()
+            await asyncio.gather(self.orchestrator_task, return_exceptions=True)
 
     def stop(self):
         asyncio.run_coroutine_threadsafe(self._shutdown(), self.loop).result(10)

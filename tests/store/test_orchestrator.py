@@ -1,5 +1,6 @@
 """The asyncio dispatcher: saturation, dedup, heartbeats, crash recovery."""
 
+import asyncio
 import json
 import os
 import signal
@@ -106,6 +107,62 @@ class TestOrchestrate:
         orch = Orchestrator(tmp_path, pools=3, pool_workers=2)
         assert orch.window == 24
         assert Orchestrator(tmp_path, pools=1, window=5).window == 5
+
+
+class TestWakeUps:
+    def test_runs_under_a_loop_made_after_construction(self, tmp_path):
+        """The wake-up event belongs to the loop running the orchestrator:
+        one instance built outside any loop runs under two successive
+        ones (Python 3.9 bound the event to the loop current at
+        construction, and 3.10+ binds it to the first loop that waits)."""
+        queue = open_queue(tmp_path, shards=2)
+        orch = Orchestrator(tmp_path, queue=queue, pools=1)
+        for run in range(2):
+            for i in range(3):
+                queue.submit("noop", {"i": i, "run": run})
+            asyncio.run(orch.run())
+        assert orch.stats["completed"] == 6
+        assert queue.counts()["done"] == 6
+
+    def test_idle_claims_once_per_poll_interval_unless_woken(self, tmp_path):
+        orch = Orchestrator(tmp_path, pools=1, idle_exit=False, poll_interval=0.2)
+        passes = []
+        claim_batch = orch.queue.claim_batch
+
+        def counted(limit):
+            passes.append(limit)
+            return claim_batch(limit)
+
+        orch.queue.claim_batch = counted
+
+        async def scenario():
+            task = asyncio.ensure_future(orch.run())
+            await asyncio.sleep(1.0)
+            idle = len(passes)
+            orch.wake()
+            await asyncio.sleep(0.1)
+            woken = len(passes) - idle
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            return idle, woken
+
+        idle, woken = asyncio.run(scenario())
+        # One pass at start-up, then one per 0.2 s nap: no busy loop.
+        assert 1 <= idle <= 1.0 / 0.2 + 2
+        # A wake-up ends the nap: a pass at once, not 0.2 s later.
+        assert 1 <= woken <= 2
+
+    def test_reports_every_settled_job(self, tmp_path):
+        queue = open_queue(tmp_path, shards=2)
+        queue.submit("noop", {"i": 1})
+        queue.submit("noop", {"i": 1, "quotient": True})  # parked twin
+        failing = queue.submit("haruspicy", {"i": 2}, max_attempts=1)
+        orch = Orchestrator(tmp_path, queue=queue, pools=1)
+        settled = []
+        orch.on_settle = settled.append
+        asyncio.run(orch.run())
+        assert sorted(settled) == sorted(r.id for r in queue.jobs())
+        assert queue.get(failing.id).status == "failed"
 
 
 class TestHeartbeat:
