@@ -13,13 +13,24 @@ the full :class:`~repro.core.execution.Execution` façade but, when the
 *activation checks* pass, drives a private base-graph execution and lifts
 the state vector lazily via
 :func:`~repro.fibrations.lifting.lift_global_state` only when someone
-actually reads ``states`` / ``outputs``.  The base comes from the PR-4
-:func:`~repro.core.memo.memoized_minimum_base`, so repeated runs on
-content-equal graphs share one refinement.
+actually reads ``states`` / ``outputs``.
+
+Activation decides on class lists before it builds anything.  The
+initial states are pushed down onto the memoized equitable partition of
+the graph (:func:`~repro.core.memo.memoized_equitable_partition`); when
+they are not constant on its classes, onto the partition of the graph
+valued by their canonical reprs, which shares the graph's edge
+structure.  The size checks read the class count.  Only a run that will
+execute on the base then calls
+:func:`~repro.core.memo.memoized_minimum_base`, which quotients that
+memoized partition: one quotient and one validated fibration per
+activation, none per fallback, and repeated runs on content-equal graphs
+share one refinement.
 
 Activation falls back to plain direct execution (same trajectory, no
 speedup, ``quotient_active == False``) whenever the lemma does not apply
-or would not pay:
+or would not pay.  The checks run in this order, and the first failure
+names the fallback:
 
 * the network is dynamic (bases would change per round);
 * the model is ``OUTPUT_PORT_AWARE`` (port numberings do not commute
@@ -30,8 +41,13 @@ or would not pay:
   restriction is a channel property the quotient layer does not assume
   to commute with fibrations, so one-bit runs always take this checked
   fallback instead of activating;
-* the base is trivial — ``base.n / g.n`` above the ratio threshold
-  (default ``0.5``, overridable per call or via ``REPRO_QUOTIENT_RATIO``);
+* the initial configuration is not constant on the classes even after
+  refining by it (:func:`~repro.fibrations.lifting.pushdown_by_classes`
+  raises; only unequal states whose canonical reprs collide get here) —
+  such a configuration is outside the image of the lift;
+* the base is trivial (as many classes as vertices), or ``base.n / g.n``
+  is above the ratio threshold (default ``0.5``, overridable per call or
+  via ``REPRO_QUOTIENT_RATIO``);
 * the model sees outdegrees but the fibration does not preserve them
   (``outdeg_G(v) != outdeg_B(φ(v))`` for some ``v``);
 * ``check_model`` is requested and the *full* graph violates the model's
@@ -39,10 +55,7 @@ or would not pay:
   stepper then raises exactly as it always did.  Note the checks must run
   on ``G``: the base of a symmetric graph need not be symmetric (a star's
   base is an asymmetric two-vertex graph), so the base execution itself
-  always runs with ``check_model=False``;
-* the initial configuration is not fibrewise-constant
-  (:func:`~repro.fibrations.lifting.pushdown_valuation` raises) — such a
-  configuration is outside the image of the lift.
+  always runs with ``check_model=False``.
 
 One behavioral caveat is inherent: the delivery-scramble stream of a base
 run differs from a full-graph run's, so quotient and direct trajectories
@@ -59,11 +72,10 @@ report how much of a workload actually rode the quotient.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.execution import Execution
-from repro.envflags import env_flag
+from repro.envflags import env_flag, env_float
 from repro.graphs.digraph import DiGraph
 
 #: Default activation threshold: fall back when base.n/g.n exceeds this.
@@ -86,14 +98,13 @@ def quotient_enabled_by_env() -> bool:
 
 
 def default_quotient_ratio() -> float:
-    """The activation threshold: ``REPRO_QUOTIENT_RATIO`` or 0.5."""
-    raw = os.environ.get(QUOTIENT_RATIO_ENV, "").strip()
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return DEFAULT_QUOTIENT_RATIO
+    """The activation threshold: ``REPRO_QUOTIENT_RATIO`` or 0.5.
+
+    Read through :func:`~repro.envflags.env_float`: an unparsable,
+    non-finite or negative value yields the default, so ``nan`` cannot
+    let every base activate and ``-1`` cannot make every base too large.
+    """
+    return env_float(QUOTIENT_RATIO_ENV, DEFAULT_QUOTIENT_RATIO, minimum=0.0)
 
 
 def clear_quotient_stats() -> None:
@@ -176,9 +187,17 @@ class QuotientExecution(Execution):
     # ------------------------------------------------------------------ #
 
     def _activate(self, quotient_ratio: Optional[float]) -> None:
-        """Run the activation checks; on success build the base execution."""
-        from repro.core.memo import memoized_minimum_base
-        from repro.fibrations.lifting import pushdown_valuation
+        """Run the activation checks; on success build the base execution.
+
+        The decision is made on class lists: the initial states are
+        pushed down onto the memoized equitable partition of the graph
+        and, when they are not constant on its classes, of the graph
+        valued by the states.  Only a run that passes the size checks
+        builds a quotient, and it builds exactly one.
+        """
+        from repro.core.memo import memoized_equitable_partition, memoized_minimum_base
+        from repro.core.metrics import canonical_repr
+        from repro.fibrations.lifting import pushdown_by_classes
         from repro.graphs.properties import is_symmetric
 
         model = self.algorithm.model
@@ -199,28 +218,42 @@ class QuotientExecution(Execution):
             )
             return
         graph: DiGraph = self.network.graph_at(1)
-        mb = memoized_minimum_base(graph)
+        states = self._stepper.states
+        source = graph
         try:
-            base_states = pushdown_valuation(mb.fibration, self._stepper.states)
+            base_states = pushdown_by_classes(memoized_equitable_partition(graph), states)
         except ValueError:
             # The initial configuration is not constant on the value-free
             # base's fibres — but it may still have lift structure.  Refine:
-            # the minimum base of the graph *valued by the initial states*
+            # the partition of the graph *valued by the initial states*
             # (joined with any existing values) is the coarsest equitable
             # partition on which the configuration IS fibrewise-constant.
-            mb, base_states = self._refined_base(graph)
-            if mb is None:
+            # States join as canonical reprs: the partition only needs
+            # their equality classes, and reprs keep arbitrary state
+            # payloads out of the graph fingerprint.
+            keys = [canonical_repr(state) for state in states]
+            source = graph.with_values(
+                keys if graph.values is None else list(zip(graph.values, keys))
+            )
+            try:
+                base_states = pushdown_by_classes(memoized_equitable_partition(source), states)
+            except ValueError:
+                # Unequal states whose canonical reprs collide share a
+                # class; no base can carry them.
                 self.quotient_fallback_reason = _record_fallback(
                     "inputs-not-fibrewise-constant"
                 )
                 return
+        base_n = len(base_states)
         ratio = default_quotient_ratio() if quotient_ratio is None else float(quotient_ratio)
-        if mb.base.n >= graph.n:
+        if base_n >= graph.n:
             self.quotient_fallback_reason = _record_fallback("trivial-base")
             return
-        if mb.base.n / graph.n > ratio:
+        if base_n / graph.n > ratio:
             self.quotient_fallback_reason = _record_fallback("base-too-large")
             return
+        # Quotients the partition decided on above, from the memo.
+        mb = memoized_minimum_base(source)
         if model.sees_outdegree and any(
             graph.outdegree(v) != mb.base.outdegree(mb.classes[v])
             for v in graph.vertices()
@@ -292,31 +325,6 @@ class QuotientExecution(Execution):
         if not was_active:
             _STATS["activations"] += 1
         return self
-
-    def _refined_base(self, graph: DiGraph):
-        """The minimum base refined by the initial configuration.
-
-        Joins the initial states into the vertex valuation (as canonical
-        reprs — the partition only needs their equality classes, and keying
-        by repr keeps arbitrary state payloads out of the graph
-        fingerprint) and quotients again.  Returns ``(None, None)`` when
-        even the refined base cannot carry the configuration (unequal
-        states whose canonical reprs collide are the only way).
-        """
-        from repro.core.memo import memoized_minimum_base
-        from repro.core.metrics import canonical_repr
-        from repro.fibrations.lifting import pushdown_valuation
-
-        state_keys = [canonical_repr(s) for s in self._stepper.states]
-        if graph.values is None:
-            joined = state_keys
-        else:
-            joined = [(v, k) for v, k in zip(graph.values, state_keys)]
-        mb = memoized_minimum_base(graph.with_values(joined))
-        try:
-            return mb, pushdown_valuation(mb.fibration, self._stepper.states)
-        except ValueError:
-            return None, None
 
     # ------------------------------------------------------------------ #
     # façade: delegate to the base run when active

@@ -15,11 +15,18 @@ the sorted edge multiset, and the canonicalized values (the *same*
 algorithm, bit for bit, as the provenance manifests of
 :mod:`repro.analysis.provenance`, which delegates here).  Fingerprints
 are computed lazily and cached on the graph (``DiGraph._fingerprint``),
-so a graph nobody memoizes never pays for hashing.
+so a graph nobody memoizes never pays for hashing.  The (vertex count,
+sorted edges) prefix is hashed once per *edge structure*: graphs built by
+:meth:`~repro.graphs.digraph.DiGraph.with_values` /
+``without_values`` share their source's edges and its edge-digest cell,
+and each valuation hashes only its values into a copy of that digest.
+The bytes hashed, hence every fingerprint, are the same as hashing the
+whole payload at once.
 
 On top of it sit four process-local LRU caches:
 
-* ``minimum_base``       — fingerprint → :class:`MinimumBase`
+* ``minimum_base``       — fingerprint → :class:`MinimumBase`, built by
+  quotienting the memoized partition (no second refinement)
 * ``equitable_partition`` — fingerprint → class list (copied out)
 * ``delivery_plan``      — fingerprint → compiled ``DeliveryPlan``
 * ``interned_graph``     — fingerprint → first-seen ``DiGraph`` instance
@@ -82,22 +89,40 @@ def graph_fingerprint(graph: DiGraph) -> str:
     and they use this very function
     (:func:`repro.analysis.provenance.graph_fingerprint` delegates here).
 
-    The result is cached on the graph (graphs are immutable), so repeated
+    The (vertex count, sorted edges) prefix is hashed once per edge
+    structure and kept in the graph's shared edge-digest cell; each
+    valuation hashes only its values, into a copy of that digest.  The
+    result is cached on the graph (graphs are immutable), so repeated
     fingerprinting is one attribute read.
     """
     fp = graph._fingerprint
     if fp is None:
-        edges = sorted(
-            (e.source, e.target, canonical_repr(e.color)) for e in graph.edges
-        )
-        payload = "\x1f".join(
-            [str(graph.n)]
-            + [f"{s}>{t}#{c}" for s, t, c in edges]
-            + [canonical_repr(graph.values)]
-        )
-        fp = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        cell = graph._edge_digest
+        if cell[0] is None:
+            cell[0] = _hash_edges(graph)
+        digest = cell[0].copy()
+        digest.update(canonical_repr(graph.values).encode("utf-8"))
+        fp = digest.hexdigest()[:16]
         graph._fingerprint = fp
     return fp
+
+
+def _hash_edges(graph: DiGraph):
+    """SHA-256 over the payload prefix every valuation of ``graph``'s edge
+    structure shares: the vertex count, then each sorted edge, each part
+    ``\x1f``-terminated.  Each distinct color object is canonicalized
+    once (most graphs carry one color, or one per port)."""
+    reprs: Dict[int, str] = {}
+    keyed = []
+    for e in graph.edges:
+        color = e.color
+        r = reprs.get(id(color))
+        if r is None:
+            r = reprs[id(color)] = canonical_repr(color)
+        keyed.append((e.source, e.target, r))
+    keyed.sort()
+    prefix = f"{graph.n}\x1f" + "".join(f"{s}>{t}#{c}\x1f" for s, t, c in keyed)
+    return hashlib.sha256(prefix.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------- #
@@ -247,12 +272,15 @@ def memoized_minimum_base(graph: DiGraph) -> "MinimumBase":
     """:func:`repro.fibrations.minimum_base.minimum_base`, memoized by
     content fingerprint.
 
-    The cached :class:`MinimumBase` references the *interned*
+    A miss quotients the memoized partition
+    (:func:`memoized_equitable_partition`) instead of refining again, so
+    a caller that already decided on the class list pays only for the
+    quotient.  The cached :class:`MinimumBase` references the *interned*
     representative of the content class (its ``fibration.source_graph``
     may be a content-equal twin of the argument); everything else —
     base graph, classes, fibre sizes — is a pure function of content.
     """
-    from repro.fibrations.minimum_base import minimum_base
+    from repro.fibrations.minimum_base import minimum_base, quotient_by_partition
 
     if not memo_enabled():
         return minimum_base(graph)
@@ -260,7 +288,10 @@ def memoized_minimum_base(graph: DiGraph) -> "MinimumBase":
     key = graph_fingerprint(graph)
     mb = _MINIMUM_BASES.get(key)
     if mb is None:
-        mb = minimum_base(graph)
+        # The class list is the refiner's own output, which certifies its
+        # equitability, so the quotient skips re-verification exactly as
+        # minimum_base does; the fibration it builds is still validated.
+        mb = quotient_by_partition(graph, memoized_equitable_partition(graph), verify=False)
         _MINIMUM_BASES.put(key, mb)
     return mb
 

@@ -60,15 +60,31 @@ def pushdown_valuation(phi: GraphMorphism, values: Sequence[Any]) -> List[Any]:
         raise ValueError(
             f"valuation has {len(values)} entries for graph with {phi.source_graph.n} vertices"
         )
-    out: List[Any] = [None] * phi.target_graph.n
-    seen = [False] * phi.target_graph.n
-    for i in phi.source_graph.vertices():
-        j = phi(i)
+    return _pushdown(phi.vertex_map, phi.target_graph.n, values)
+
+
+def pushdown_by_classes(classes: Sequence[int], values: Sequence[Any]) -> List[Any]:
+    """:func:`pushdown_valuation` along a class list, before any quotient
+    is built: ``classes`` gives each vertex its base vertex ``0 .. m-1``
+    (the fibration's vertex map to be).  Same comparison, same
+    ``ValueError`` when ``values`` is not constant on some class."""
+    if len(values) != len(classes):
+        raise ValueError(
+            f"valuation has {len(values)} entries for graph with {len(classes)} vertices"
+        )
+    return _pushdown(classes, max(classes, default=-1) + 1, values)
+
+
+def _pushdown(vertex_map: Sequence[int], m: int, values: Sequence[Any]) -> List[Any]:
+    out: List[Any] = [None] * m
+    seen = [False] * m
+    for i, x in enumerate(values):
+        j = vertex_map[i]
         if seen[j]:
-            if not payloads_equal(out[j], values[i]):
+            if not payloads_equal(out[j], x):
                 raise ValueError(f"valuation is not constant on the fibre of base vertex {j}")
         else:
-            out[j] = values[i]
+            out[j] = x
             seen[j] = True
     return out
 

@@ -57,17 +57,23 @@ def _group_by_equality(items: Iterable[Any]) -> Tuple[List[int], int]:
     groups: Dict[Any, int] = {}
     reprs: List[str] = []
     assigned: List[int] = []
+    prev: Any = object()  # is no item
+    idx = -1
     for x in items:
-        key = equality_key(x)
-        idx = groups.get(key)
-        if idx is None:
-            idx = len(reprs)
-            groups[key] = idx
-            reprs.append(canonical_repr(x))
-        else:
-            r = canonical_repr(x)
-            if r < reprs[idx]:
-                reprs[idx] = r
+        # An item that *is* the previous one (the shared ``None`` color of
+        # every edge, say) lands in the previous group without re-keying.
+        if x is not prev:
+            prev = x
+            key = equality_key(x)
+            idx = groups.get(key)
+            if idx is None:
+                idx = len(reprs)
+                groups[key] = idx
+                reprs.append(canonical_repr(x))
+            else:
+                r = canonical_repr(x)
+                if r < reprs[idx]:
+                    reprs[idx] = r
         assigned.append(idx)
     order = sorted(range(len(reprs)), key=lambda i: (reprs[i], i))
     rank = {g: r for r, g in enumerate(order)}
@@ -232,10 +238,6 @@ def same_partition(a: Sequence[int], b: Sequence[int]) -> bool:
         if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
             return False
     return True
-
-
-# Backwards-compatible alias (pre-worklist name, used by older callers).
-_same_partition = same_partition
 
 
 # ---------------------------------------------------------------------- #

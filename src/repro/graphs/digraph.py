@@ -100,6 +100,7 @@ class DiGraph:
         "_in",
         "_out_ports",
         "_fingerprint",
+        "_edge_digest",
     )
 
     def __init__(
@@ -156,6 +157,10 @@ class DiGraph:
         # Content fingerprint, computed lazily by repro.core.memo; ``None``
         # until someone asks for it (most throwaway graphs never do).
         self._fingerprint: Optional[str] = None
+        # One-slot cell for the fingerprint's edge digest (repro.core.memo
+        # fills it), shared by every graph with_values/without_values
+        # builds on this edge structure.
+        self._edge_digest: List[Any] = [None]
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -232,11 +237,35 @@ class DiGraph:
         return [(e.source, e.target, e.color) for e in self._edges]
 
     def with_values(self, values: Sequence[Any]) -> "DiGraph":
-        """A copy of this graph carrying the given vertex valuation."""
-        return DiGraph(self.n, self.edge_specs(), values=values)
+        """This graph carrying the given vertex valuation.
+
+        The result shares this graph's immutable edge tuple, adjacency,
+        port map and fingerprint edge digest, so building it costs O(n),
+        not an O(m) rebuild.  It is equal to
+        ``DiGraph(self.n, self.edge_specs(), values=values)`` in every
+        respect: edges, port numbering, fingerprint.
+        """
+        if values is not None:
+            values = tuple(values)
+            if len(values) != self.n:
+                raise ValueError(f"got {len(values)} values for {self.n} vertices")
+        return self._sharing_edges(values)
 
     def without_values(self) -> "DiGraph":
-        return DiGraph(self.n, self.edge_specs())
+        """This graph unvalued, sharing its edge structure like :meth:`with_values`."""
+        return self._sharing_edges(None)
+
+    def _sharing_edges(self, values: Optional[Tuple[Any, ...]]) -> "DiGraph":
+        clone = DiGraph.__new__(DiGraph)
+        clone.n = self.n
+        clone._edges = self._edges
+        clone._values = values
+        clone._out = self._out
+        clone._in = self._in
+        clone._out_ports = self._out_ports
+        clone._fingerprint = None
+        clone._edge_digest = self._edge_digest
+        return clone
 
     def with_colors(self, color_fn: Callable[[Edge], Hashable]) -> "DiGraph":
         """A copy with each edge re-colored by ``color_fn(edge)``."""
@@ -322,13 +351,24 @@ class DiGraph:
             return NotImplemented
         if self.n != other.n or self._values != other._values:
             return False
-        mine = sorted((e.source, e.target, repr(e.color)) for e in self._edges)
-        theirs = sorted((e.source, e.target, repr(e.color)) for e in other._edges)
-        return mine == theirs
+        return self._edge_keys() == other._edge_keys()
 
     def __hash__(self) -> int:
-        mine = tuple(sorted((e.source, e.target, repr(e.color)) for e in self._edges))
-        return hash((self.n, self._values, mine))
+        return hash((self.n, self._values, tuple(self._edge_keys())))
+
+    def _edge_keys(self) -> List[Tuple[int, int, str]]:
+        """The sorted edge multiset, colors spelled by ``canonical_repr``
+        (the fingerprint's spelling: equal frozensets key equally)."""
+        from repro.core.metrics import canonical_repr  # repro.core imports this module
+
+        return sorted((e.source, e.target, canonical_repr(e.color)) for e in self._edges)
+
+    def __getstate__(self):
+        # The edge digest cell may hold a hashlib object, which does not
+        # pickle; a copy starts with an empty cell and rehashes on demand.
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_edge_digest"] = [None]
+        return None, state
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.vertices())

@@ -1,5 +1,7 @@
 """Tests for the content-addressed memo layer (``repro.core.memo``)."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.core.engine.plan import PlanCache
@@ -18,7 +20,12 @@ from repro.core.memo import (
     publish_memo_metrics,
 )
 from repro.fibrations.minimum_base import equitable_partition, minimum_base
-from repro.graphs.builders import directed_ring, random_strongly_connected
+from repro.graphs.builders import (
+    bidirectional_ring,
+    complete_graph,
+    directed_ring,
+    random_strongly_connected,
+)
 from repro.graphs.digraph import DiGraph
 
 
@@ -75,6 +82,42 @@ class TestFingerprint:
     def test_content_equal_graphs_share_fingerprints(self):
         assert graph_fingerprint(directed_ring(5)) == graph_fingerprint(directed_ring(5))
         assert graph_fingerprint(directed_ring(5)) != graph_fingerprint(directed_ring(6))
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda: complete_graph(4), "455d141ced49f619"),
+            (lambda: bidirectional_ring(5).with_values([0, 1, 0, 1, 0]), "a08d294aa44765a8"),
+            (lambda: directed_ring(3).with_port_colors(), "f6e0490f5aedba59"),
+            (
+                lambda: DiGraph(
+                    2,
+                    [(0, 1, frozenset([9, 1])), (1, 0, Fraction(1, 2))],
+                    values=["a", (1, 2)],
+                ),
+                "8a0cb2590fbc6d59",
+            ),
+            (lambda: DiGraph(1), "fdfa466a5d7cdc55"),
+        ],
+    )
+    def test_pinned_fingerprints(self, build, expected):
+        # Provenance manifests store these hashes: the bytes hashed must
+        # never change, whether or not the edge digest is shared.
+        assert graph_fingerprint(build()) == expected
+
+    def test_edge_digest_hashed_once_per_edge_structure(self, monkeypatch):
+        from repro.core import memo
+
+        calls = []
+        real = memo._hash_edges
+        monkeypatch.setattr(memo, "_hash_edges", lambda g: calls.append(g) or real(g))
+        g = bidirectional_ring(5)
+        valued = [g.with_values([v % k for v in range(5)]) for k in (1, 2, 3)]
+        fps = [graph_fingerprint(h) for h in valued + [g, g.without_values()]]
+        assert len(calls) == 1
+        rebuilt = [DiGraph(5, g.edge_specs(), values=h.values) for h in valued + [g, g]]
+        assert fps == [graph_fingerprint(h) for h in rebuilt]
+        assert len(calls) == 1 + len(rebuilt)  # a rebuild has its own structure
 
 
 class TestInterning:

@@ -114,6 +114,67 @@ class TestDerivedGraphs:
         assert g.values == (("a", 1), ("b", 2))
 
 
+class TestStructureSharing:
+    """with_values/without_values share the edge structure, and the
+    result is indistinguishable from a rebuild from edge specs."""
+
+    def graph(self):
+        return DiGraph(
+            4,
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (0, 0), (2, 2)],
+            values=[5, 6, 7, 8],
+        ).with_port_colors()
+
+    def test_shared_graph_equals_rebuild(self):
+        from repro.core.memo import graph_fingerprint
+
+        g = self.graph()
+        graph_fingerprint(g)  # the edge digest is then reused below
+        values = ["a", ("b", 1), None, frozenset([2, 1])]
+        shared = g.with_values(values)
+        fresh = DiGraph(g.n, g.edge_specs(), values=values)
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert graph_fingerprint(shared) == graph_fingerprint(fresh)
+        assert [shared.port_of(e) for e in shared.edges] == [
+            fresh.port_of(e) for e in fresh.edges
+        ]
+        assert [shared.in_edges(v) for v in shared.vertices()] == [
+            fresh.in_edges(v) for v in fresh.vertices()
+        ]
+        assert shared.edges is g.edges
+        assert graph_fingerprint(g) != graph_fingerprint(shared)
+
+    def test_without_values_shares_too(self):
+        from repro.core.memo import graph_fingerprint
+
+        g = self.graph()
+        bare = g.without_values()
+        assert bare.values is None and bare.edges is g.edges
+        assert bare == DiGraph(g.n, g.edge_specs())
+        assert graph_fingerprint(bare) == graph_fingerprint(DiGraph(g.n, g.edge_specs()))
+
+    def test_wrong_length_valuation_rejected(self):
+        g = self.graph()
+        with pytest.raises(ValueError):
+            g.with_values([1, 2, 3])
+        with pytest.raises(ValueError):
+            g.with_values([1, 2, 3, 4, 5])
+
+    def test_fingerprinted_graph_pickles(self):
+        import pickle
+
+        from repro.core.memo import graph_fingerprint
+
+        g = self.graph()
+        fp = graph_fingerprint(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.edges is not g.edges
+        assert graph_fingerprint(copy) == fp
+        assert graph_fingerprint(copy.with_values([0, 0, 0, 0])) == graph_fingerprint(
+            g.with_values([0, 0, 0, 0])
+        )
+
+
 class TestMatrixAndEquality:
     def test_adjacency_matrix_counts_multiplicity(self):
         g = DiGraph(2, [(0, 1), (0, 1), (1, 1)])
@@ -124,6 +185,15 @@ class TestMatrixAndEquality:
         h = DiGraph(2, [(1, 0), (0, 1)])
         assert g == h
         assert hash(g) == hash(h)
+
+    def test_set_colors_compare_by_content(self):
+        # Equal frozensets may print in different orders; equality and
+        # hashing key colors by canonical repr, as the fingerprint does.
+        g = DiGraph(2, [(0, 1, frozenset([1, 9]))])
+        h = DiGraph(2, [(0, 1, frozenset([9, 1]))])
+        assert g == h
+        assert hash(g) == hash(h)
+        assert g != DiGraph(2, [(0, 1, frozenset([1, 8]))])
 
     def test_inequality_on_values(self):
         g = DiGraph(2, [(0, 1)], values=[1, 2])

@@ -314,6 +314,17 @@ class TestFallbacks:
             GossipAlgorithm(max), g, inputs=[1] * 6, quotient=True
         )
         assert not env_stingy.quotient_active
+        # Non-finite, negative and unparsable values mean the default:
+        # ``nan`` must not let every base activate, ``-1`` must not make
+        # every base too large.
+        for raw in ("nan", "inf", "abc", "-1"):
+            monkeypatch.setenv("REPRO_QUOTIENT_RATIO", raw)
+            assert default_quotient_ratio() == 0.5, raw
+        periodic = Execution(
+            GossipAlgorithm(max), bidirectional_ring(8),
+            inputs=[v % 4 for v in range(8)], quotient=True,
+        )
+        assert periodic.quotient_active and periodic.base_n == 4  # under -1
 
     def test_env_flag(self, monkeypatch):
         monkeypatch.delenv("REPRO_QUOTIENT", raising=False)

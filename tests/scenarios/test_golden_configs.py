@@ -87,3 +87,26 @@ class TestShippedGridConfig:
             row["converged"] == (row["graph"] == "complete")
             for row in by_probe["census"]
         )
+
+    def test_gossip_grid_quotient_run_matches_object_run(self, monkeypatch):
+        # One-hot inputs refine the base: the quotient engine activates on
+        # half the rows and must still emit the object engine's bytes.
+        from repro.core.engine.quotient import quotient_stats
+
+        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        monkeypatch.delenv("REPRO_VECTOR", raising=False)
+        monkeypatch.delenv("REPRO_QUOTIENT", raising=False)
+        scenario = load_scenario(config_path("gossip_grid.json"))
+        plain = run_scenario(scenario)
+        assert plain["summary"] == {"rows": 48, "consistent": 48, "verdict": "PASS"}
+        monkeypatch.setenv("REPRO_QUOTIENT", "1")
+        before = quotient_stats()
+        quotient = run_scenario(scenario)
+        after = quotient_stats()
+        assert document_bytes(quotient) == document_bytes(plain)
+        assert after["activations"] - before["activations"] == 24
+        assert {
+            reason: count - before["fallback_reasons"].get(reason, 0)
+            for reason, count in after["fallback_reasons"].items()
+            if count != before["fallback_reasons"].get(reason, 0)
+        } == {"trivial-base": 16, "base-too-large": 8}
