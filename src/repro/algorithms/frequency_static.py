@@ -23,7 +23,7 @@ the output; afterwards the output is exact and constant — finite-time,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.models import CommunicationModel
 from repro.core.network_class import Knowledge
@@ -72,8 +72,13 @@ class _FunctionOutput:
         self._leader_count = leader_count
         # The output is a function of the view alone, and agents in one
         # fibre share a hash-consed view: memoize per view uid (uids are
-        # append-only within ``self.builder``).
+        # append-only within ``self.builder``).  Each round brings new
+        # views but, once stabilized, the same base: memoize per base
+        # content too, so ``f`` runs once per distinct base.  Extraction
+        # and the fibre solve are memoized on the builder, for every probe
+        # that shares it.
         self._outputs: Dict[int, Any] = {}
+        self._by_base: Dict[Tuple, Any] = {}
 
     def _multiplicities(self, base: DiGraph, z: List[int]) -> Optional[List[int]]:
         if self._knowledge in (Knowledge.NONE, Knowledge.BOUND_N):
@@ -114,7 +119,17 @@ class _FunctionOutput:
         base = extract_base(view, self.builder, skip_root=self._skip_root)
         if base is None:
             return None
-        z = self._solver(base)
+        content = (base.values, tuple((e.source, e.target, e.color) for e in base.edges))
+        if content not in self._by_base:
+            self._by_base[content] = self._base_output(base, content)
+        return self._by_base[content]
+
+    def _base_output(self, base: DiGraph, content: Tuple) -> Any:
+        key = ("fibres", self._solver, content)
+        memo = self.builder.memo
+        if key not in memo:
+            memo[key] = self._solver(base)
+        z = memo[key]
         if z is None:
             return None
         mults = self._multiplicities(base, z)

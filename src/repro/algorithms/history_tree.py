@@ -95,12 +95,6 @@ class HistoryTreeAlgorithm(BroadcastAlgorithm):
         self.leader_count = leader_count
         self.f = f
         self.builder = builder if builder is not None else ViewBuilder()
-        # Solutions are a function of the class DAG alone, so they are
-        # shared by all agents in a class; memoize per (uid, cutoff).
-        self._solve_cache: Dict[Tuple[int, int], Any] = {}
-        # Different classes often see the same truncated history, hence
-        # the same integer system; memoize its kernel vector by content.
-        self._kernel_cache: Dict[Tuple[Tuple[int, ...], ...], Optional[List[int]]] = {}
 
     # ------------------------------------------------------------------ #
     # automaton
@@ -159,15 +153,17 @@ class HistoryTreeAlgorithm(BroadcastAlgorithm):
         return dict(grouped)
 
     def _solve(self, root: View) -> Optional[Dict[Any, int]]:
-        """Input multiplicities up to a global factor, or ``None``."""
-        t = root.depth  # levels present: 0 .. t
-        cutoff = t // 2
-        cache_key = (root.uid, cutoff)
-        if cache_key in self._solve_cache:
-            return self._solve_cache[cache_key]
-        result = self._solve_uncached(root, cutoff)
-        self._solve_cache[cache_key] = result
-        return result
+        """Input multiplicities up to a global factor, or ``None``.
+
+        A function of the class DAG alone (its cutoff is ``depth // 2``),
+        so it is shared by all agents in a class and by every algorithm
+        on the builder: memoized in ``builder.memo`` per root uid.
+        """
+        key = ("history", root.uid)
+        memo = self.builder.memo
+        if key not in memo:
+            memo[key] = self._solve_uncached(root, root.depth // 2)
+        return memo[key]
 
     def _solve_uncached(self, root: View, cutoff: int) -> Optional[Dict[Any, int]]:
         grouped = self._collect(root)
@@ -239,11 +235,16 @@ class HistoryTreeAlgorithm(BroadcastAlgorithm):
         return mults
 
     def _kernel_vector(self, rows: List[List[int]]) -> Optional[List[int]]:
-        """The primitive kernel vector of ``rows``, if ``ker`` is a line."""
-        key = tuple(map(tuple, rows))
-        if key not in self._kernel_cache:
-            self._kernel_cache[key] = integer_kernel_vector(rows)
-        return self._kernel_cache[key]
+        """The primitive kernel vector of ``rows``, if ``ker`` is a line.
+
+        Different classes often see the same truncated history, hence the
+        same integer system: memoized in ``builder.memo`` by content.
+        """
+        key = ("kernel", tuple(map(tuple, rows)))
+        memo = self.builder.memo
+        if key not in memo:
+            memo[key] = integer_kernel_vector(rows)
+        return memo[key]
 
     # ------------------------------------------------------------------ #
     # output

@@ -58,7 +58,22 @@ def extract_base(
     ``(value, outdegree)`` label is only attached when sending, since σ
     learns ``d⁻`` at send time); every vertex still appears at level ≥ 1
     through its self-loop.
+
+    The result is a function of the view alone, so it is memoized in
+    ``builder.memo`` per ``(view.uid, skip_root)``: every agent of a fibre,
+    and every algorithm sharing the builder, extracts it once.  Equal
+    candidates are one graph, memoized by content (values plus edge
+    specs): a base that every round's new views repeat is built and kept
+    once, not once per view.
     """
+    key = ("base", view.uid, skip_root)
+    memo = builder.memo
+    if key not in memo:
+        memo[key] = _extract_base(view, builder, skip_root)
+    return memo[key]
+
+
+def _extract_base(view: View, builder: ViewBuilder, skip_root: bool) -> Optional[DiGraph]:
     t = view.depth
     k = t // 2
     if k < 1 or (skip_root and k < 2):
@@ -81,8 +96,12 @@ def extract_base(
             if cj is None:
                 return None
             specs.append((cj, ci, color))
-    values = [w.label for w in class_witness]
-    return DiGraph(len(class_witness), specs, values=values)
+    values = tuple(w.label for w in class_witness)
+    content = ("base content", values, tuple(specs))
+    memo = builder.memo
+    if content not in memo:
+        memo[content] = DiGraph(len(class_witness), specs, values=values)
+    return memo[content]
 
 
 class _ViewStateMixin:

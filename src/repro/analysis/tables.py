@@ -53,6 +53,7 @@ from repro.functions.classes import FunctionClass
 from repro.functions.library import AVERAGE, MAXIMUM, SUM
 from repro.graphs.builders import random_strongly_connected, random_symmetric_connected
 from repro.graphs.digraph import DiGraph
+from repro.graphs.views import ViewBuilder
 
 
 @dataclass
@@ -313,11 +314,17 @@ def run_static_cell(
             measured is expected.function_class, details, manifest,
         )
 
-    # Enriched models: the static pipeline, probes batched on one cache.
+    # Enriched models: the static pipeline, probes batched on one cache
+    # and run on one view builder, so the probes exchange the same views
+    # and share their extracted bases and fibre solves.
+    builder = ViewBuilder()
+
     def alg(f):
         if leader:
-            return StaticFunctionAlgorithm(f, model, knowledge=knowledge, leader_count=1)
-        return StaticFunctionAlgorithm(f, model, knowledge=knowledge, n=n)
+            return StaticFunctionAlgorithm(
+                f, model, knowledge=knowledge, leader_count=1, builder=builder
+            )
+        return StaticFunctionAlgorithm(f, model, knowledge=knowledge, n=n, builder=builder)
 
     multiset_cell = knowledge in (Knowledge.EXACT_N, Knowledge.LEADER)
     probes = [(MAXIMUM, "max"), (AVERAGE, "average")]
@@ -455,17 +462,21 @@ def run_dynamic_cell(
     else:  # SYMMETRIC — algorithms matched to the paper's citations:
         # no help / leader -> history trees (Di Luna & Viglietta [26, 25]);
         # bound / exact n -> degree-blind constant-weight averaging of the
-        # per-value indicators (CB & LM [11]).
+        # per-value indicators (CB & LM [11]).  The history-tree probes
+        # share one view builder, hence their class solves.
         dyn = random_dynamic_symmetric(n, seed=seed)
+        builder = ViewBuilder()
 
         def make(f):
             if leader:
-                return HistoryTreeAlgorithm(knowledge=Knowledge.LEADER, leader_count=1, f=f)
+                return HistoryTreeAlgorithm(
+                    knowledge=Knowledge.LEADER, leader_count=1, f=f, builder=builder
+                )
             if knowledge is Knowledge.EXACT_N:
                 return ConstantWeightFrequency(mode="multiset", n=n, f=f)
             if knowledge is Knowledge.BOUND_N:
                 return ConstantWeightFrequency(mode="exact", n_bound=n + 2, f=f)
-            return HistoryTreeAlgorithm(knowledge=Knowledge.NONE, f=f)
+            return HistoryTreeAlgorithm(knowledge=Knowledge.NONE, f=f, builder=builder)
 
     rounds = (
         _DYNAMIC_ROUNDS

@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.core.engine import ENGINE_VERSION
 from repro.core.engine.instrumentation import state_digest
+from repro.graphs.views import ViewBuilder
 from repro.store.atomic import atomic_write_bytes
 
 #: Generation of the snapshot envelope itself.  Bump on any change to the
@@ -283,7 +284,10 @@ def restore_execution(execution, snapshot: Snapshot) -> Any:
     execution over the *same* fibration classes — and vice versa, a plain
     snapshot refuses a quotient-active execution: the scramble streams of
     base and full runs are different streams, so crossing modes would
-    silently desynchronize the resumed trajectory.  Returns the execution.
+    silently desynchronize the resumed trajectory.  Views in the decoded
+    states are re-interned in the algorithm's view builder, if it has
+    one (:meth:`~repro.graphs.views.ViewBuilder.adopt`).  Returns the
+    execution.
     """
     from repro.core.engine.trace import MetricsRegistry, Tracer
 
@@ -326,7 +330,14 @@ def restore_execution(execution, snapshot: Snapshot) -> Any:
             "scramble mismatch: snapshot and execution disagree on whether "
             "delivery scrambling is active"
         )
-    stepper.states = snapshot.states()
+    states = snapshot.states()
+    builder = getattr(execution.algorithm, "builder", None)
+    if isinstance(builder, ViewBuilder):
+        # Decoded views are copies whose uids name views of the
+        # snapshotting builder; this builder's memo would read them as
+        # its own.  Re-interned, the run continues in one uid namespace.
+        states = builder.adopt(states)
+    stepper.states = states
     stepper.round_number = snapshot.round_number
     if getattr(execution, "vector_active", False):
         execution._repack()

@@ -121,9 +121,10 @@ class TestOutputsBeforeStabilization:
 
 
 class TestOutputMemo:
-    """The per-view output memo changes nothing: every round, each agent's
-    memoized output equals that of a fresh instance with an empty memo
-    (sharing the builder, so view uids mean the same views)."""
+    """The output memos change nothing: every round, each agent's memoized
+    output equals that of the same execution on a private builder, read by
+    a fresh instance after clearing that builder's memo — an oracle that
+    shares no memo with the run under test."""
 
     @pytest.mark.parametrize("model", ENRICHED)
     @pytest.mark.parametrize("knowledge", [Knowledge.NONE, Knowledge.EXACT_N, Knowledge.LEADER])
@@ -133,15 +134,26 @@ class TestOutputMemo:
             (v, i == 0) for i, v in enumerate(INPUTS)
         ]
         params = dict(knowledge=knowledge, n=len(INPUTS))
-
-        def fresh_output(state):
-            return StaticFunctionAlgorithm(AVERAGE, model, builder=alg.builder, **params).output(state)
-
         alg = StaticFunctionAlgorithm(AVERAGE, model, **params)
         ex = Execution(alg, g, inputs=inputs)
+        oracle = Execution(StaticFunctionAlgorithm(AVERAGE, model, **params), g, inputs=inputs)
+        private = oracle.algorithm.builder
+        assert private is not alg.builder
+
+        def memo_free_output(state):
+            private.memo.clear()
+            return StaticFunctionAlgorithm(AVERAGE, model, builder=private, **params).output(state)
+
         for _ in range(24):
             ex.step()
+            oracle.step()
             memoized = ex.outputs()
             assert ex.outputs() == memoized
-            assert memoized == [fresh_output(s) for s in ex.states]
+            assert memoized == [memo_free_output(s) for s in oracle.states]
         assert memoized == [AVERAGE(INPUTS)] * len(INPUTS)
+        # Later rounds bring new views but the same base: the content memo
+        # was hit, so there are fewer fibre solves than extracted bases.
+        memo = alg.builder.memo
+        bases = [key for key, base in memo.items() if key[0] == "base" and base is not None]
+        solves = [key for key in memo if key[0] == "fibres"]
+        assert 0 < len(solves) < len(bases)

@@ -102,9 +102,10 @@ class TestKnowledgeVariants:
 
 
 class TestKernelMemo:
-    """Memoizing kernel solves by system content changes nothing: every
-    round, each agent's output equals that of a fresh instance with empty
-    caches (sharing the builder, so view uids mean the same views)."""
+    """Memoizing class and kernel solves changes nothing: every round, each
+    agent's output equals that of the same execution on a private builder,
+    read by a fresh instance after clearing that builder's memo — an
+    oracle that shares no memo with the run under test."""
 
     @pytest.mark.parametrize(
         "params",
@@ -125,11 +126,20 @@ class TestKernelMemo:
         solve = alg._kernel_vector
         alg._kernel_vector = lambda rows: lookups.append(rows) or solve(rows)
         ex = Execution(alg, dyn, inputs=inputs)
+        oracle = Execution(HistoryTreeAlgorithm(**params), dyn, inputs=inputs)
+        private = oracle.algorithm.builder
+        assert private is not alg.builder
+
+        def memo_free_output(state):
+            private.memo.clear()
+            return HistoryTreeAlgorithm(builder=private, **params).output(state)
+
         for _ in range(20):
             ex.step()
+            oracle.step()
             memoized = ex.outputs()
-            fresh = [HistoryTreeAlgorithm(builder=alg.builder, **params).output(s) for s in ex.states]
-            assert memoized == fresh
+            assert memoized == [memo_free_output(s) for s in oracle.states]
         assert None not in memoized
         # Distinct classes set up identical systems: the memo was hit.
-        assert len(alg._kernel_cache) < len(lookups)
+        kernels = [key for key in alg.builder.memo if key[0] == "kernel"]
+        assert len(kernels) < len(lookups)

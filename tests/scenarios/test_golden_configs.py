@@ -5,10 +5,12 @@ documents that are *byte-identical* to what the pre-DSL machinery emits
 — :func:`~repro.analysis.tables.reproduce_table1/2` assembled through
 :func:`~repro.store.jobs.table_document` — sequentially and with the
 process pool forced on.  If the DSL ever drifts from the hard-coded
-reproduction, these tests are the tripwire.
+reproduction, these tests are the tripwire.  Literal SHA-256 digests pin
+both tables' documents at seeds 1, 2 and 7919 as well.
 """
 
 import functools
+import hashlib
 import os
 
 import pytest
@@ -24,7 +26,7 @@ def config_path(name: str) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def hard_coded_bytes(table: int) -> bytes:
+def hard_coded_bytes(table: int, seed: int = 0) -> bytes:
     """The pre-DSL reproduction, assembled exactly as the durable table
     jobs assemble it — the byte-level golden reference."""
     from repro.analysis.tables import (
@@ -35,10 +37,36 @@ def hard_coded_bytes(table: int) -> bytes:
     from repro.store.jobs import table_document
 
     if table == 1:
-        cells = [cell_to_payload(r) for r in reproduce_table1(6, 0)]
-        return document_bytes(table_document("table1", 6, 0, cells))
-    cells = [cell_to_payload(r) for r in reproduce_table2(5, 0)]
-    return document_bytes(table_document("table2", 5, 0, cells))
+        cells = [cell_to_payload(r) for r in reproduce_table1(6, seed)]
+        return document_bytes(table_document("table1", 6, seed, cells))
+    cells = [cell_to_payload(r) for r in reproduce_table2(5, seed)]
+    return document_bytes(table_document("table2", 5, seed, cells))
+
+
+#: SHA-256 of the Table 1 (n=6) and Table 2 (n=5) documents at seeds
+#: beyond the configs' seed 0.  Literal digests: any change to the bytes
+#: of either table at these seeds, in any engine mode, fails here.
+PINNED_TABLE_DIGESTS = {
+    1: (
+        "e4e524055999e9fea8a2930f3790f53a52d9c1a524089ae6b6a68a94b290b7f9",
+        "631d8c257008f97300e8d07641ea380d110dcbaa2dfd5d7d98ceae69c12fabe8",
+    ),
+    2: (
+        "d14cfe8249e36c9ac87112374a91f89414f5074162f6a358662b15c2f12f9967",
+        "2b5ea8b536075820c10a387ae0240efb56214199813724b6b9b7a6ae05575b74",
+    ),
+    7919: (
+        "a98153333e72493a672d96716442ebd4f6a82e141d0ad69d7c8513e1547799f6",
+        "038a365962609454d0fc0a6dd0466fd9249dce537dc60c969cfb73cbe51b4ab1",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_TABLE_DIGESTS))
+@pytest.mark.parametrize("table", [1, 2])
+def test_table_document_digest_is_pinned(table, seed):
+    digest = hashlib.sha256(hard_coded_bytes(table, seed)).hexdigest()
+    assert digest == PINNED_TABLE_DIGESTS[seed][table - 1]
 
 
 @pytest.mark.parametrize("table,name", [(1, "table1.json"), (2, "table2.json")])
