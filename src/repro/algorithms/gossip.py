@@ -31,6 +31,9 @@ class GossipAlgorithm(BroadcastAlgorithm):
         support, from which any set-based function follows).
     """
 
+    #: A union of the received sets: neither order nor repeats matter.
+    receives = "set"
+
     def __init__(self, on_set: Optional[Callable[[FrozenSet[Any]], Any]] = None):
         self._on_set = on_set if on_set is not None else (lambda s: s)
 

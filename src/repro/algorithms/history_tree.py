@@ -76,6 +76,9 @@ class HistoryTreeAlgorithm(BroadcastAlgorithm):
     """
 
     model = CommunicationModel.SYMMETRIC
+    #: ``ViewBuilder.node`` sorts the children: a class node records the
+    #: multiset of received classes.
+    receives = "multiset"
 
     def __init__(
         self,

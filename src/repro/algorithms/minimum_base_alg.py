@@ -162,6 +162,9 @@ class OutdegreeViewAlgorithm(_ViewStateMixin, OutdegreeAlgorithm):
     appears from level 1 on anyway, through the self-loops.
     """
 
+    #: ``ViewBuilder.node`` sorts the children: the view is the multiset.
+    receives = "multiset"
+
     _skip_root = True
 
     def message(self, state: State, outdegree: int) -> View:
@@ -178,6 +181,7 @@ class SymmetricViewAlgorithm(_ViewStateMixin, BroadcastAlgorithm):
     """View exchange by plain broadcast, for symmetric networks."""
 
     model = CommunicationModel.SYMMETRIC
+    receives = "multiset"
 
     def message(self, state: State) -> View:
         return state[1]
@@ -190,6 +194,8 @@ class SymmetricViewAlgorithm(_ViewStateMixin, BroadcastAlgorithm):
 
 class PortViewAlgorithm(_ViewStateMixin, OutputPortAlgorithm):
     """View exchange with output ports: port ℓ ships ``(ℓ, view)``."""
+
+    receives = "multiset"
 
     def messages(self, state: State, outdegree: int) -> Sequence[Tuple[int, View]]:
         return [(port, state[1]) for port in range(outdegree)]

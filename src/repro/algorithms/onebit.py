@@ -17,8 +17,9 @@ bit per round, cast identically to every recipient:
   fails: the negative probe, showing that one bit per round does not
   carry a global multiset through a bottleneck.
 
-Both are finite-state, order-invariant in the received tuple (anonymity's
-demand), and run unchanged on static and dynamic networks.
+Both are finite-state and run unchanged on static and dynamic networks.
+Each declares how it reads its inbox
+(:attr:`~repro.core.agent.Algorithm.receives`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ class OneBitFloodingAlgorithm(OneBitAlgorithm):
     through monotone one-bit flooding — within diameter-many rounds on
     any strongly connected network.
     """
+
+    #: An OR of the received bits: neither order nor repeats matter.
+    receives = "set"
 
     def initial_state(self, input_value: Any) -> int:
         return 1 if input_value else 0
@@ -65,6 +69,9 @@ class OneBitCensusAlgorithm(OneBitAlgorithm):
     with self-loops; elsewhere the tally is the local in-neighbourhood's
     and the scenario harness records the (expected) failure.
     """
+
+    #: Counts the received bits: repeats matter, order does not.
+    receives = "multiset"
 
     def initial_state(self, input_value: Any) -> Tuple[int, int, int]:
         return (1 if input_value else 0, 0, 0)

@@ -15,10 +15,9 @@ Subclass the variant matching your communication model:
   bit cast to every recipient (the transport rejects anything outside
   ``{0, 1}``).
 
-``transition(state, received)`` receives the *multiset* of messages as a
-tuple in executor-scrambled order; a correct anonymous algorithm must not
-depend on that order.  ``output(state)`` extracts the agent's current
-output variable ``x_i``.
+``transition(state, received)`` receives the messages of one round as a
+tuple; how it may read them is declared by :attr:`Algorithm.receives`.
+``output(state)`` extracts the agent's current output variable ``x_i``.
 """
 
 from __future__ import annotations
@@ -35,6 +34,20 @@ class Algorithm(abc.ABC):
     #: The communication model this algorithm is written for.
     model: CommunicationModel
 
+    #: How ``transition`` reads its inbox (Hella et al.'s hierarchy):
+    #: ``"set"`` (order and repeats cannot change the result),
+    #: ``"multiset"`` (order cannot) or ``"sequence"`` (the result's bits
+    #: may depend on order).  The model delivers a multiset (§2.2), so the
+    #: engine scrambles a ``"sequence"`` reader's inbox every round and an
+    #: order dependence shows in tests; a ``"set"`` or ``"multiset"``
+    #: reader gets in-edge order and draws nothing from the scramble
+    #: stream.  Such a declaration is a proof obligation, checked by
+    #: permuting inboxes in the property suite and by the reference
+    #: interpreter, which scrambles every algorithm.  It binds only on the
+    #: class that defines ``transition`` (:func:`receives_of`); any other
+    #: value scrambles.
+    receives: str = "sequence"
+
     @abc.abstractmethod
     def initial_state(self, input_value: Any) -> Any:
         """``Q0`` as a function of the agent's private input."""
@@ -49,6 +62,21 @@ class Algorithm(abc.ABC):
 
     def name(self) -> str:
         return type(self).__name__
+
+
+def receives_of(cls: type) -> str:
+    """The ``receives`` declaration that binds ``cls.transition``.
+
+    Walks the MRO to the nearest class that defines ``transition`` and
+    returns that class's own ``receives``, or ``"sequence"`` when it
+    declares none: a subclass that overrides ``transition`` does not
+    inherit its parent's declaration.
+    """
+    for klass in cls.__mro__:
+        own = vars(klass)
+        if "transition" in own:
+            return own.get("receives", "sequence")
+    return "sequence"
 
 
 class BroadcastAlgorithm(Algorithm):
@@ -94,8 +122,8 @@ class OneBitAlgorithm(Algorithm):
     outdegree awareness) but the message alphabet is just ``{0, 1}``: the
     transport validates every emitted bit and raises on anything else, so
     an algorithm cannot smuggle wider payloads through the model.
-    ``transition`` receives the multiset of in-edge bits as a tuple of
-    ints in executor-scrambled order.
+    ``transition`` receives the in-edge bits as a tuple of ints, read as
+    :attr:`Algorithm.receives` declares.
     """
 
     model = CommunicationModel.ONE_BIT_BROADCAST

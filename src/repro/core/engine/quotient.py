@@ -57,12 +57,13 @@ names the fallback:
   base is an asymmetric two-vertex graph), so the base execution itself
   always runs with ``check_model=False``.
 
-One behavioral caveat is inherent: the delivery-scramble stream of a base
-run differs from a full-graph run's, so quotient and direct trajectories
-are bit-identical exactly when transitions are invariant under inbox
-order — which anonymity already demands of every algorithm in this
-repository.  The property suite pins the bit-identity on order-invariant
-algorithms across all four communication models.
+One behavioral caveat is inherent: a base run delivers (and scrambles)
+each inbox in a different order than a full-graph run, so quotient and
+direct trajectories are bit-identical exactly when the transition
+ignores inbox order — what a set or multiset declaration
+(:attr:`~repro.core.agent.Algorithm.receives`) asserts.  The property
+suite pins the bit-identity on such algorithms across all four
+communication models.
 
 Module-level counters (``quotient_stats`` / ``publish_quotient_metrics``)
 mirror the memo layer's: activations, fallbacks by reason, and lazy

@@ -7,8 +7,12 @@ preconditions edge by edge.  Two consumers rely on it:
 
 * the engine-equivalence property tests, which assert that the compiled
   fast path and this interpreter produce bit-identical state
-  trajectories across all four communication models, static and dynamic
-  networks, with and without scrambling;
+  trajectories across all five communication models, static and dynamic
+  networks, with and without scrambling.  This interpreter scrambles
+  every algorithm, whatever its
+  :attr:`~repro.core.agent.Algorithm.receives` declaration, so those
+  tests re-check each set or multiset declaration the engine relies on
+  when it skips the shuffle;
 * ``benchmarks/bench_engine.py``, which uses it (with
   ``legacy_scramble=True``, reinstating the old fresh-``Random``-per-
   agent-per-round seeding) as the "old executor" baseline for the

@@ -8,7 +8,9 @@ This is the round loop behind the public
    networks);
 2. enforces the model preconditions off the plan's precomputed flags;
 3. runs the flavor-resolved transport (sending + delivery);
-4. scrambles each inbox from the single per-execution RNG stream;
+4. scrambles each inbox from the single per-execution RNG stream, unless
+   the algorithm reads its inbox as a set or multiset
+   (:attr:`~repro.core.agent.Algorithm.receives`);
 5. applies the transition function and, only if observers are attached,
    emits a :class:`RoundRecord`.
 """
@@ -19,7 +21,7 @@ import random
 import time
 from typing import Any, List, Optional, Sequence
 
-from repro.core.agent import Algorithm
+from repro.core.agent import Algorithm, receives_of
 from repro.core.engine.instrumentation import RoundObserver, RoundRecord
 from repro.core.engine.plan import PlanCache
 from repro.core.engine.transport import transport_for
@@ -40,6 +42,7 @@ class EngineStepper:
         "transport",
         "observers",
         "_rng",
+        "_scramble",
     )
 
     def __init__(
@@ -62,6 +65,10 @@ class EngineStepper:
         self.transport = transport_for(algorithm)
         self.observers: List[RoundObserver] = list(observers or ())
         self._rng = None if scramble_seed is None else random.Random(scramble_seed)
+        # A set or multiset reader keeps its stream (snapshots record its
+        # position) but never draws from it.
+        unordered = receives_of(type(algorithm)) in ("set", "multiset")
+        self._scramble = None if unordered else self._rng
 
     def step(self) -> int:
         """Run one full round; returns the new round number."""
@@ -89,7 +96,7 @@ class EngineStepper:
         outgoing = transport.outgoing(algorithm, self.states, plan)
         inboxes = transport.deliver(plan, outgoing)
 
-        rng = self._rng
+        rng = self._scramble
         if rng is not None:
             shuffle = rng.shuffle
             for inbox in inboxes:

@@ -13,10 +13,11 @@ dispatch already resolved:
   flat ``sources`` lists into per-receiver inboxes.
 
 Delivery-order scrambling stays outside the transport: the stepper owns
-one ``random.Random`` stream per execution and shuffles the inboxes in
-``(round, receiver)`` order, so distinct shuffle sites consume disjoint
-segments of one stream and can never alias (unlike the old per-site
-``seed*1_000_003 + t*9973 + j`` reseeding).
+one ``random.Random`` stream per execution and, for algorithms whose
+inbox order may matter (:attr:`~repro.core.agent.Algorithm.receives`),
+shuffles the inboxes in ``(round, receiver)`` order, so distinct shuffle
+sites consume disjoint segments of one stream and can never alias
+(unlike the old per-site ``seed*1_000_003 + t*9973 + j`` reseeding).
 """
 
 from __future__ import annotations

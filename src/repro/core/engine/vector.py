@@ -38,11 +38,10 @@ caveats, both pinned by the property suite in
 ``tests/property/test_vector_properties.py``:
 
 * kernels see inboxes in in-edge order and reduce them associatively,
-  so they are faithful exactly for transitions invariant under inbox
-  order — which anonymity already demands of every algorithm here (the
-  same caveat as quotient execution, whose base run also re-orders the
-  scramble stream).  The vector path draws nothing from the execution's
-  scramble RNG.
+  so they are faithful exactly for transitions that ignore inbox order
+  (:attr:`~repro.core.agent.Algorithm.receives`; the same caveat as
+  quotient execution).  The vector path draws nothing from the
+  execution's scramble RNG.
 * float reductions may associate differently than the object engine's
   left-to-right sums, so trajectories agree bit-for-bit for exact
   (integer/set) kernels and within :func:`repro.analysis.impossibility.

@@ -6,9 +6,8 @@ in-edges of ``𝔾(t)``, and (c) applies the transition function.  The
 executor enforces the declared communication model: an algorithm is handed
 *exactly* the information its model allows — nothing for simple broadcast,
 the current outdegree for outdegree awareness, per-port fan-out for output
-port awareness — and message delivery order is scrambled per round so that
-a transition function relying on implicit sender identities breaks loudly
-in tests rather than silently cheating anonymity.
+port awareness — and delivers each agent's inbox as
+:attr:`~repro.core.agent.Algorithm.receives` declares.
 
 This module is the thin public façade over the layered engine of
 :mod:`repro.core.engine`: topology plans (compiled, cached delivery
@@ -50,7 +49,8 @@ class Execution:
         Seed of the per-execution scramble stream (inboxes are shuffled in
         ``(round, receiver)`` order from one RNG).  ``None`` disables
         scrambling (messages arrive in in-edge order) — useful only for
-        debugging; the default keeps anonymity honest.
+        debugging.  It has no effect on an algorithm that reads its inbox
+        as a set or multiset (:attr:`~repro.core.agent.Algorithm.receives`).
     check_model:
         Verify per round that the network satisfies the model's class
         constraints (symmetry for ``SYMMETRIC``, staticity for

@@ -111,8 +111,8 @@ def lift_snapshot(phi: GraphMorphism, base_snapshot):
     Lemma 3.1 makes the lifted snapshot a genuine checkpoint of a run on
     ``G`` — with one caveat: the scramble stream it carries is the *base*
     run's, so a restore only stays bit-identical to a direct full-graph
-    run when the algorithm's transition is invariant under inbox order
-    (as every anonymous algorithm must be).
+    run when the transition ignores inbox order
+    (:attr:`~repro.core.agent.Algorithm.receives`).
     """
     from repro.store.snapshot import Snapshot, encode_states, state_digest
 

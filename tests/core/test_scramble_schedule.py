@@ -11,18 +11,42 @@ sites consume disjoint stream segments by construction and cannot alias.
 
 These tests pin the new schedule exactly (so any future change to
 stream consumption is a deliberate, visible decision) and demonstrate
-the aliasing the old arithmetic allowed.
+the aliasing the old arithmetic allowed.  They also pin who draws: an
+algorithm that declares a set or multiset inbox
+(:attr:`~repro.core.agent.Algorithm.receives`) draws nothing, and a
+subclass that overrides its ``transition`` draws the full schedule again.
 """
 
 import random
 
+from repro.algorithms.gossip import GossipAlgorithm
+from repro.algorithms.history_tree import HistoryTreeAlgorithm
+from repro.algorithms.minimum_base_alg import OutdegreeViewAlgorithm
+from repro.algorithms.onebit import OneBitCensusAlgorithm
 from repro.core.agent import BroadcastAlgorithm
 from repro.core.execution import Execution
-from repro.graphs.builders import star_graph
+from repro.graphs.builders import bidirectional_ring, star_graph
 
 
 class RecordOrder(BroadcastAlgorithm):
     """Output = the exact (scrambled) delivery order of the last round."""
+
+    def initial_state(self, input_value):
+        return (input_value, ())
+
+    def message(self, state):
+        return state[0]
+
+    def transition(self, state, received):
+        return (state[0], received)
+
+    def output(self, state):
+        return state[1]
+
+
+class GossipRecordOrder(GossipAlgorithm):
+    """A declared class's subclass with :class:`RecordOrder`'s body: its
+    own ``transition`` declares nothing, so its inboxes are scrambled."""
 
     def initial_state(self, input_value):
         return (input_value, ())
@@ -97,3 +121,27 @@ class TestNoAliasing:
             RecordOrder(), star_graph(4), inputs=[0, 1, 2, 3], scramble_seed=None
         ).run(1)
         assert ex.outputs() == again.outputs()
+
+
+class TestDeclaredReadersDrawNothing:
+    ROUNDS = 6
+
+    def test_stream_stays_at_its_seed(self):
+        runs = [
+            (GossipAlgorithm(), star_graph(5), [0, 1, 2, 1, 0]),
+            (OneBitCensusAlgorithm(), star_graph(5), [1, 0, 1, 1, 0]),
+            (OutdegreeViewAlgorithm(), star_graph(5), [0, 1, 0, 1, 0]),
+            (HistoryTreeAlgorithm(), bidirectional_ring(5), [0, 1, 0, 0, 1]),
+        ]
+        for algorithm, graph, inputs in runs:
+            for seed in (0, 7, 123456789):
+                ex = Execution(algorithm, graph, inputs=inputs, scramble_seed=seed)
+                ex.run(self.ROUNDS)
+                assert ex._stepper._rng.getstate() == random.Random(seed).getstate()
+
+    def test_overriding_subclass_gets_the_pinned_schedule(self):
+        ex = Execution(GossipRecordOrder(), star_graph(4), inputs=[0, 1, 2, 3], scramble_seed=0)
+        ex.step()
+        assert ex.outputs() == [(3, 1, 2, 0), (0, 1), (0, 2), (0, 3)]
+        ex.step()
+        assert ex.outputs() == [(1, 0, 2, 3), (1, 0), (2, 0), (0, 3)]

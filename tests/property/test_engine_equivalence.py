@@ -3,15 +3,34 @@
 The layered engine (plans + transports + stepper) must produce state
 trajectories bit-identical to the single-layer reference interpreter
 (:class:`repro.core.engine.reference.ReferenceExecution`) — across all
-four communication models, on static and dynamic networks, with and
-without scrambling.  Order-*sensitive* recording algorithms are used on
-purpose: they expose any difference in delivery order or in RNG stream
-consumption, which multiset algorithms would silently forgive.
+five communication models, on static and dynamic networks, with and
+without scrambling.  Two kinds of algorithm are compared:
+
+* order-*sensitive* recording algorithms (``receives = "sequence"``):
+  they expose any difference in delivery order or in RNG stream
+  consumption, which multiset algorithms would silently forgive;
+* every library algorithm that declares it reads its inbox as a set or
+  multiset (:attr:`~repro.core.agent.Algorithm.receives`).  The engine
+  delivers their inboxes unscrambled while the reference still shuffles
+  them, so equal trajectories re-check each declaration on every run.
+  View and history-tree pairs share one
+  :class:`~repro.graphs.views.ViewBuilder`, so their interned views
+  compare by identity.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.frequency_static import StaticFunctionAlgorithm
+from repro.algorithms.gossip import GossipAlgorithm
+from repro.algorithms.history_tree import HistoryTreeAlgorithm
+from repro.algorithms.minimum_base_alg import (
+    OutdegreeViewAlgorithm,
+    PortViewAlgorithm,
+    SymmetricViewAlgorithm,
+)
+from repro.algorithms.onebit import OneBitCensusAlgorithm, OneBitFloodingAlgorithm
 from repro.core.agent import BroadcastAlgorithm, OutdegreeAlgorithm, OutputPortAlgorithm
 from repro.core.engine import ReferenceExecution
 from repro.core.execution import Execution
@@ -22,6 +41,7 @@ from repro.graphs.builders import (
     random_strongly_connected,
     random_symmetric_connected,
 )
+from repro.graphs.views import ViewBuilder
 
 
 class RecordBroadcast(BroadcastAlgorithm):
@@ -160,3 +180,53 @@ class TestDynamicEquivalence:
             [random_symmetric_connected(n, seed=seed + k) for k in range(2)]
         )
         assert_same_trajectory(RecordSymmetric, dyn, list(range(n)), scramble)
+
+
+#: ``(make(builder), topology, input alphabet)`` per declared reader;
+#: ``topology`` is ``"directed"``, ``"symmetric"`` or ``"static"`` (the
+#: port model runs on static digraphs only).
+DECLARED = {
+    "gossip": (lambda b: GossipAlgorithm(), "directed", 3),
+    "onebit-flood": (lambda b: OneBitFloodingAlgorithm(), "directed", 2),
+    "onebit-census": (lambda b: OneBitCensusAlgorithm(), "directed", 2),
+    "outdegree-views": (lambda b: OutdegreeViewAlgorithm(b), "directed", 2),
+    "symmetric-views": (lambda b: SymmetricViewAlgorithm(b), "symmetric", 2),
+    "port-views": (lambda b: PortViewAlgorithm(b, max_view_depth=3), "static", 2),
+    "history-tree": (lambda b: HistoryTreeAlgorithm(builder=b), "symmetric", 2),
+    "static-max": (
+        lambda b: StaticFunctionAlgorithm(
+            max, CommunicationModel.OUTDEGREE_AWARE, builder=b
+        ),
+        "directed",
+        3,
+    ),
+}
+
+
+def _declared_case(name, p, dynamic):
+    make, topology, values = DECLARED[name]
+    n, seed, scramble = p
+    build = random_symmetric_connected if topology == "symmetric" else random_strongly_connected
+    if dynamic:
+        network = PeriodicDynamicGraph([build(n, seed=seed + k) for k in range(3)])
+    else:
+        network = build(n, seed=seed)
+    builder = ViewBuilder()
+    inputs = [(seed + i) % values for i in range(n)]
+    assert_same_trajectory(lambda: make(builder), network, inputs, scramble)
+
+
+class TestDeclaredReaders:
+    @pytest.mark.parametrize("name", sorted(DECLARED))
+    @settings(max_examples=12, deadline=None)
+    @given(params)
+    def test_static(self, name, p):
+        _declared_case(name, p, dynamic=False)
+
+    @pytest.mark.parametrize(
+        "name", sorted(k for k, case in DECLARED.items() if case[1] != "static")
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(params)
+    def test_periodic(self, name, p):
+        _declared_case(name, p, dynamic=True)

@@ -6,7 +6,8 @@ documents that are *byte-identical* to what the pre-DSL machinery emits
 :func:`~repro.store.jobs.table_document` — sequentially and with the
 process pool forced on.  If the DSL ever drifts from the hard-coded
 reproduction, these tests are the tripwire.  Literal SHA-256 digests pin
-both tables' documents at seeds 1, 2 and 7919 as well.
+both tables' documents at seeds 1, 2 and 7919 as well, and the two
+shipped grid configs' documents under every engine mode.
 """
 
 import functools
@@ -91,6 +92,26 @@ class TestGoldenConfigs:
         assert document["kind"] == f"table{table}"
         assert document["parameters"] == {"n": scenario.n, "seed": 0}
         assert document["summary"]["verdict"] == "PASS"
+
+
+#: SHA-256 of the documents of the shipped grid configs.  Cross-engine
+#: agreement cannot catch a change common to every engine (no engine
+#: scrambles a set or multiset reader's inbox any more); these literals can.
+PINNED_GRID_DIGESTS = {
+    "gossip_grid.json": "736c118a87436ea053de00bd37869ad3ca136d33dd0e256f92c9fe63213ef422",
+    "onebit_counting.json": "c158f1c4f717c5bf3590e5a0c0fc7d5f20e2bcbf422c6d19788ec9f452115574",
+}
+
+
+@pytest.mark.parametrize("engine", [None, "REPRO_VECTOR", "REPRO_QUOTIENT"])
+@pytest.mark.parametrize("name", sorted(PINNED_GRID_DIGESTS))
+def test_grid_document_digest_is_pinned(name, engine, monkeypatch):
+    for flag in ("REPRO_PARALLEL", "REPRO_VECTOR", "REPRO_QUOTIENT"):
+        monkeypatch.delenv(flag, raising=False)
+    if engine is not None:
+        monkeypatch.setenv(engine, "1")
+    document = run_scenario(load_scenario(config_path(name)))
+    assert hashlib.sha256(document_bytes(document)).hexdigest() == PINNED_GRID_DIGESTS[name]
 
 
 class TestShippedGridConfig:

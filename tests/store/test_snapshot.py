@@ -1,16 +1,27 @@
 """Unit tests for the snapshot codec: round-trips, guards, checkpoints."""
 
 import base64
+import dataclasses
 import json
 import os
+import random
 
 import pytest
 
 from repro.algorithms.gossip import GossipAlgorithm
+from repro.algorithms.history_tree import HistoryTreeAlgorithm
+from repro.algorithms.minimum_base_alg import OutdegreeViewAlgorithm, SymmetricViewAlgorithm
 from repro.core.engine import ENGINE_VERSION
 from repro.core.engine.trace import Tracer
 from repro.core.execution import Execution
-from repro.graphs.builders import bidirectional_ring, random_strongly_connected
+from repro.dynamics.generators import random_dynamic_symmetric
+from repro.graphs.builders import (
+    bidirectional_ring,
+    directed_ring,
+    random_strongly_connected,
+    random_symmetric_connected,
+)
+from repro.graphs.views import ViewBuilder
 from repro.store.snapshot import (
     SNAPSHOT_CODEC_VERSION,
     Checkpointer,
@@ -202,6 +213,89 @@ class TestRestore:
             tracer2.registry.counter("messages_delivered").value
             == tracer1.registry.counter("messages_delivered").value
         )
+
+
+class TestAdvancedStreamSnapshots:
+    """A set or multiset reader draws nothing from its scramble stream,
+    but a checkpoint written by an engine that scrambled every inbox
+    carries an advanced stream position.  Restored or resumed, such a
+    checkpoint must continue exactly as the uninterrupted run does."""
+
+    SEED, K, TOTAL = 5, 2, 9
+
+    #: ``(make(builder), network, inputs, quotient)``; gossip outputs its
+    #: whole known set, so every state change shows in the outputs.
+    CASES = {
+        "gossip": (
+            lambda b: GossipAlgorithm(),
+            random_strongly_connected(6, seed=4), [3, 1, 4, 1, 5, 9], False,
+        ),
+        "outdegree-views": (
+            lambda b: OutdegreeViewAlgorithm(b),
+            random_strongly_connected(5, seed=2), [0, 1, 0, 0, 1], False,
+        ),
+        "symmetric-views": (
+            lambda b: SymmetricViewAlgorithm(b, max_view_depth=6),
+            random_symmetric_connected(6, seed=2), [1, 1, 0, 1, 0, 0], False,
+        ),
+        "history-tree": (
+            lambda b: HistoryTreeAlgorithm(builder=b),
+            random_dynamic_symmetric(5, seed=3), [3, 1, 1, 4, 1], False,
+        ),
+        "quotient-gossip": (
+            lambda b: GossipAlgorithm(), directed_ring(8), [0, 1, 2, 3] * 2, True,
+        ),
+    }
+
+    @staticmethod
+    def advanced_stream(seed, draws=257):
+        rng = random.Random(seed)
+        for _ in range(draws):
+            rng.random()
+        version, internal, gauss_next = rng.getstate()
+        return [version, list(internal), gauss_next]
+
+    def run_case(self, name):
+        make, network, inputs, quotient = self.CASES[name]
+
+        def execution():
+            return Execution(
+                make(ViewBuilder()), network, inputs=inputs,
+                scramble_seed=self.SEED, quotient=quotient,
+            )
+
+        straight = execution()
+        expected = []
+        for _ in range(self.TOTAL):
+            straight.step()
+            expected.append(straight.outputs())
+        assert expected[self.K - 1] != expected[-1], "snapshot must precede stabilization"
+        first = execution().run(self.K)
+        assert getattr(first, "quotient_active", False) == quotient
+        advanced = self.advanced_stream(self.SEED)
+        snapshot = dataclasses.replace(first.snapshot(), rng_state=advanced)
+        snapshot = Snapshot.from_bytes(snapshot.to_bytes())
+        return make, network, execution, expected, snapshot, advanced
+
+    def assert_resumes(self, resumed, expected, advanced):
+        assert resumed.round_number == self.K
+        assert resumed.outputs() == expected[self.K - 1]
+        for r in range(self.K, self.TOTAL):
+            resumed.step()
+            assert resumed.outputs() == expected[r], f"round {r + 1} diverged"
+        assert resumed.snapshot().rng_state == advanced  # drew nothing
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_restore_into_fresh_execution(self, name):
+        _make, _network, execution, expected, snapshot, advanced = self.run_case(name)
+        self.assert_resumes(execution().restore(snapshot), expected, advanced)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_resume_execution(self, name):
+        make, network, _execution, expected, snapshot, advanced = self.run_case(name)
+        resumed = resume_execution(snapshot, make(ViewBuilder()), network)
+        assert getattr(resumed, "quotient_active", False) == self.CASES[name][3]
+        self.assert_resumes(resumed, expected, advanced)
 
 
 class TestSnapshotFiles:
