@@ -308,6 +308,24 @@ def _require_positive_outdegrees(csr: CSRPlan) -> None:
         raise ZeroDivisionError("division by zero outdegree in sending function")
 
 
+def _universe(values) -> List[Any]:
+    """The distinct ``values`` in canonical order: one column each.
+
+    Raises ``ValueError`` (so the execution falls back) when two values
+    compare equal but are spelled differently — ``1``, ``1.0`` and
+    ``True``, or ``0.0`` and ``-0.0``: one column cannot give each agent
+    back the spelling its object-level union would keep.
+    """
+    spellings: Dict[Any, str] = {}
+    for value in values:
+        spelled = canonical_repr(value)
+        if spellings.setdefault(value, spelled) != spelled:
+            raise ValueError(
+                f"values {spellings[value]} and {spelled} are equal but spelled differently"
+            )
+    return [value for value, _ in sorted(spellings.items(), key=lambda item: item[1])]
+
+
 # -- set flooding (simple broadcast / symmetric) ------------------------ #
 
 class GossipKernel(VectorKernel):
@@ -326,10 +344,8 @@ class GossipKernel(VectorKernel):
 
     def pack(self, states):
         np = _np
-        values = set()
-        for state in states:
-            values.update(state)  # TypeError on non-set states -> fallback
-        self.universe = sorted(values, key=canonical_repr)
+        # TypeError on non-set states -> fallback
+        self.universe = _universe(value for state in states for value in state)
         index = {value: i for i, value in enumerate(self.universe)}
         packed = np.zeros((len(states), len(self.universe)), dtype=bool)
         for j, state in enumerate(states):
@@ -338,11 +354,23 @@ class GossipKernel(VectorKernel):
         return packed
 
     def unpack(self, packed):
+        # Agents with equal rows share one frozenset: a set-broadcast
+        # round holds at most 2^|universe| distinct states however large
+        # n is, so a read builds one set per class, not one per agent.
+        np = _np
+        if packed.shape[1] == 0:  # a zero-byte row key has no void view
+            return [frozenset()] * len(packed)
+        keys = np.packbits(packed, axis=1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel().tolist()
         universe = self.universe
-        return [
-            frozenset(universe[i] for i in np_row.nonzero()[0])
-            for np_row in packed
-        ]
+        classes: Dict[bytes, frozenset] = {}
+        states = []
+        for j, key in enumerate(keys):
+            state = classes.get(key)
+            if state is None:
+                state = classes[key] = frozenset(universe[i] for i in packed[j].nonzero()[0])
+            states.append(state)
+        return states
 
     def step(self, packed, csr):
         np = _np
@@ -474,10 +502,7 @@ class FrequencyKernel(VectorKernel):
 
     def pack(self, states):
         np = _np
-        values = set()
-        for _unit, table in states:
-            values.update(table)
-        self.universe = sorted(values, key=canonical_repr)
+        self.universe = _universe(value for _unit, table in states for value in table)
         index = {value: i for i, value in enumerate(self.universe)}
         n, width = len(states), len(self.universe)
         unit = np.zeros(n, dtype=np.float64)
@@ -615,11 +640,21 @@ class VectorExecution(Execution):
 
     def _repack(self) -> None:
         """Adopt the stepper's states/round into the packed vector (the
-        snapshot layer calls this after restoring stepper fields)."""
-        if self.vector_active:
+        snapshot layer calls this after restoring stepper fields, the
+        ``states`` setter after assigning them)."""
+        if not self.vector_active:
+            return
+        try:
             self._packed = self.kernel.pack(self._stepper.states)
-            self._vector_round = self._stepper.round_number
-            self._synced_round = self._stepper.round_number
+        except (TypeError, ValueError, KeyError, AttributeError, IndexError):
+            # The new configuration left the representable set (e.g. a
+            # corrupted-state experiment): demote to the object path.
+            self.kernel = None
+            self._packed = None
+            self.vector_fallback_reason = _record_fallback("pack-failed")
+            return
+        self._vector_round = self._stepper.round_number
+        self._synced_round = self._stepper.round_number
 
     @property
     def states(self) -> List[Any]:
@@ -630,18 +665,9 @@ class VectorExecution(Execution):
     def states(self, new_states: Sequence[Any]) -> None:
         self._stepper.states = list(new_states)
         if self.vector_active:
-            try:
-                self._packed = self.kernel.pack(self._stepper.states)
-            except (TypeError, ValueError, KeyError, AttributeError, IndexError):
-                # The new configuration left the representable set (e.g. a
-                # corrupted-state experiment): demote to the object path.
-                self.kernel = None
-                self._packed = None
-                self.vector_fallback_reason = _record_fallback("pack-failed")
-                self._stepper.round_number = self._vector_round
-                return
-            self._vector_round = self._stepper.round_number
-            self._synced_round = self._stepper.round_number
+            # New states keep the round number, as on the object path.
+            self._stepper.round_number = self._vector_round
+            self._repack()
 
     @property
     def round_number(self) -> int:

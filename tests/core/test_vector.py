@@ -4,16 +4,23 @@ The faithfulness contract (vector trajectories == object trajectories)
 lives in ``tests/property/test_vector_properties.py``; these tests pin
 the machinery around it: CSR index arrays, the kernel registry and its
 faithful-subclass guard, activation/fallback bookkeeping, state
-synchronization with the snapshot layer, and error-behavior parity.
+synchronization with the snapshot layer, error-behavior parity, and
+the gossip kernel's one unpacked state per distinct packed row.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.algorithms import GossipAlgorithm, MetropolisAlgorithm, PushSumAlgorithm
+from repro.algorithms.push_sum_frequency import PushSumFrequencyAlgorithm
+from repro.core.convergence import run_until_stable
 from repro.core.engine.plan import compile_plan
+from repro.core.engine.trace import trace_execution
 from repro.core.engine.vector import (
     CSRPlan,
+    GossipKernel,
     VectorExecution,
     clear_vector_stats,
     csr_for,
@@ -22,6 +29,7 @@ from repro.core.engine.vector import (
     vector_stats,
 )
 from repro.core.execution import Execution
+from repro.core.metrics import canonical_repr
 from repro.graphs.builders import (
     bidirectional_ring,
     directed_ring,
@@ -214,8 +222,10 @@ class TestStateSync:
         ex.run(1)
         ex.states = [frozenset([9])] * 4
         assert ex.vector_active
+        assert ex.round_number == 1  # new states keep the round
         ex.run(1)
         assert ex.outputs() == [9] * 4
+        assert ex.round_number == 2
 
     def test_states_setter_demotes_on_unpackable(self):
         g = bidirectional_ring(4)
@@ -225,6 +235,26 @@ class TestStateSync:
         assert not ex.vector_active
         assert ex.vector_fallback_reason == "pack-failed"
         assert ex.round_number == 2
+
+    def test_restore_of_unpackable_states_demotes(self):
+        # The snapshot holds 1, 1.0 and True, which one packed column per
+        # value cannot give back: the restore takes the object path, and
+        # later rounds follow the object run.
+        g = bidirectional_ring(4)
+        inputs = [1, 1.0, True, 2]
+        snap = Execution(GossipAlgorithm(), g, inputs=inputs).run(1).snapshot()
+        vec = Execution(GossipAlgorithm(), g, inputs=[1, 2, 3, 4], vector=True).run(2)
+        assert vec.vector_active
+        vec.restore(snap)
+        assert not vec.vector_active
+        assert vec.vector_fallback_reason == "pack-failed"
+        assert vec.round_number == 1
+        vec.run(2)
+        obj = Execution(GossipAlgorithm(), g, inputs=inputs).run(3)
+        assert vec.round_number == 3
+        assert [canonical_repr(s) for s in vec.states] == [
+            canonical_repr(s) for s in obj.states
+        ]
 
     def test_snapshot_roundtrip(self):
         g = random_strongly_connected(7, seed=2)
@@ -280,3 +310,124 @@ class TestErrorParity:
         assert ex.vector_active
         with pytest.raises(ValueError, match="not symmetric"):
             ex.step()
+
+
+class TestEqualButDifferentlySpelled:
+    """``1``, ``1.0`` and ``True`` are one set element to Python but three
+    spellings to the object engine, whose unions keep whichever arrived
+    first; one packed column per value cannot reproduce that."""
+
+    INPUTS = [1, 1.0, True, 2]
+
+    def test_gossip_falls_back_and_traces_like_the_object_run(self):
+        g = bidirectional_ring(4)
+        obj = Execution(GossipAlgorithm(), g, inputs=self.INPUTS)
+        vec = Execution(GossipAlgorithm(), g, inputs=self.INPUTS, vector=True)
+        assert not vec.vector_active
+        assert vec.vector_fallback_reason == "pack-failed"
+        t_obj = trace_execution(obj, rounds=3)
+        t_vec = trace_execution(vec, rounds=3)
+        assert t_vec.deterministic_rounds() == t_obj.deterministic_rounds()
+        assert [canonical_repr(s) for s in vec.states] == [
+            canonical_repr(s) for s in obj.states
+        ]
+
+    def test_frequency_kernel_falls_back(self):
+        g = bidirectional_ring(4)
+        make = lambda: PushSumFrequencyAlgorithm(mode="frequencies")  # noqa: E731
+        obj = Execution(make(), g, inputs=self.INPUTS).run(3)
+        vec = Execution(make(), g, inputs=self.INPUTS, vector=True)
+        assert vec.vector_fallback_reason == "pack-failed"
+        vec.run(3)
+        assert canonical_repr(vec.outputs()) == canonical_repr(obj.outputs())
+
+    def test_signed_zero_is_refused(self):
+        ex = Execution(
+            GossipAlgorithm(), bidirectional_ring(3), inputs=[0.0, -0.0, 1], vector=True
+        )
+        assert ex.vector_fallback_reason == "pack-failed"
+
+    def test_gossip_grid_activates_on_every_row(self, monkeypatch):
+        # The check must not misfire on ordinary inputs: if it did, the
+        # vector leg of the grid would silently run the object engine.
+        from repro.scenarios import load_scenario, run_scenario
+
+        for flag in ("REPRO_PARALLEL", "REPRO_QUOTIENT", "REPRO_STORE"):
+            monkeypatch.delenv(flag, raising=False)
+        monkeypatch.setenv("REPRO_VECTOR", "1")
+        root = os.path.join(os.path.dirname(__file__), "..", "..", "configs")
+        run_scenario(load_scenario(os.path.join(root, "gossip_grid.json")))
+        stats = vector_stats()
+        assert (stats["activations"], stats["fallbacks"]) == (48, 0)
+
+
+class TestOneStatePerClass:
+    """The gossip kernel unpacks one frozenset per distinct packed row and
+    hands it to every agent holding that row."""
+
+    def test_zero_width_universe(self):
+        # frozenset() is a reachable initial state; a zero-byte row key
+        # has no void view, so this is its own branch.
+        g = bidirectional_ring(5)
+        states = [frozenset()] * 5
+        obj = Execution(GossipAlgorithm(len), g, initial_states=states).run(1)
+        vec = Execution(GossipAlgorithm(len), g, initial_states=states, vector=True).run(1)
+        assert vec.vector_active and vec.kernel.universe == []
+        assert vec.states == obj.states
+        assert vec.unanimous_output() == obj.unanimous_output() == 0
+
+    def test_single_agent(self):
+        g = DiGraph(1, [(0, 0)])
+        vec = Execution(GossipAlgorithm(), g, inputs=[5], vector=True).run(1)
+        assert vec.unanimous_output() == frozenset([5])
+        assert vec.states == [frozenset([5])]
+
+    def test_universe_wider_than_a_byte(self):
+        # 20 values pack into three bytes per row.
+        n = 20
+        g = directed_ring(n)
+        obj = Execution(GossipAlgorithm(len), g, inputs=list(range(n)))
+        vec = Execution(GossipAlgorithm(len), g, inputs=list(range(n)), vector=True)
+        for _ in range(n):
+            obj.step()
+            vec.step()
+            assert vec.unanimous_output() == obj.unanimous_output()
+            assert vec.states == obj.states
+        assert vec.unanimous_output() == n
+        assert len({id(s) for s in vec.states}) == 1
+
+    def test_detector_builds_one_set_per_class(self, monkeypatch):
+        n = 64
+        ex = Execution(
+            GossipAlgorithm(max), bidirectional_ring(n), inputs=[1] + [0] * (n - 1), vector=True
+        )
+        reads = []  # (state objects built, distinct rows in the packed vector)
+        original = GossipKernel.unpack
+
+        def counting(kernel, packed):
+            states = original(kernel, packed)
+            reads.append((len({id(s) for s in states}), len({row.tobytes() for row in packed})))
+            return states
+
+        monkeypatch.setattr(GossipKernel, "unpack", counting)
+        report = run_until_stable(ex, max_rounds=2 * n, patience=2)
+        assert report.converged and report.value == 1
+        # One read per round; the report's outputs() reuses the last.
+        assert len(reads) == report.rounds_run
+        assert all(built == classes for built, classes in reads)
+        assert max(built for built, _ in reads) == 2
+
+    def test_snapshot_of_shared_states_resumes_bit_identically(self):
+        g = random_strongly_connected(9, seed=4)
+        inputs = [v % 3 for v in range(9)]
+        make = lambda: Execution(GossipAlgorithm(len), g, inputs=inputs, vector=True)  # noqa: E731
+        snap = make().run(2).snapshot()
+        resumed = make()
+        resumed.restore(snap)
+        straight = make().run(2)
+        for _ in range(4):
+            resumed.step()
+            straight.step()
+            assert resumed.unanimous_output() == straight.unanimous_output()
+        assert resumed.snapshot().to_bytes() == straight.snapshot().to_bytes()
+        assert resumed.states == Execution(GossipAlgorithm(len), g, inputs=inputs).run(6).states

@@ -13,6 +13,9 @@ dynamic networks, traced and untraced runs, and both batch backends:
   engine's left-to-right folds, so trajectories agree within
   :func:`~repro.analysis.impossibility.outputs_match` tolerance while
   the discrete trace fields (messages, bytes) stay exactly equal.
+* The gossip kernel unpacks one frozenset per distinct packed row and
+  hands it to every agent of that row; inputs over a few values make
+  states repeat from the first round.
 * The backend draws nothing from the scramble RNG, so enabling it can
   never perturb an interleaved object execution.
 
@@ -55,6 +58,19 @@ ROUNDS = 6
 
 seeds = st.integers(min_value=0, max_value=40)
 sizes = st.integers(min_value=2, max_value=9)
+
+
+@st.composite
+def repeating_inputs(draw):
+    """Inputs over up to 20 values, so agents share states and the
+    universe can span several packed bytes."""
+    n = draw(sizes)
+    width = draw(st.integers(min_value=1, max_value=20))
+    return draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n))
+
+
+def _one_object_per_state(states):
+    return len({id(s) for s in states}) == len(set(states))
 
 
 class SymmetricGossip(GossipAlgorithm):
@@ -120,25 +136,28 @@ def _pair(algorithm_factory, network, inputs, **kwargs):
 
 class TestExactBitIdentity:
     @settings(max_examples=12)
-    @given(seed=seeds, n=sizes)
-    def test_broadcast_gossip_static(self, seed, n):
-        g = random_strongly_connected(n, seed=seed)
-        obj, vec = _pair(lambda: GossipAlgorithm(max), g, list(range(n)))
+    @given(seed=seeds, inputs=repeating_inputs())
+    def test_broadcast_gossip_static(self, seed, inputs):
+        g = random_strongly_connected(len(inputs), seed=seed)
+        obj, vec = _pair(lambda: GossipAlgorithm(max), g, inputs)
         assert vec.vector_active
         for _ in range(ROUNDS):
             obj.step()
             vec.step()
+            assert vec.unanimous_output() == obj.unanimous_output()
             assert vec.states == obj.states
+            assert _one_object_per_state(vec.states)
 
     @settings(max_examples=10)
-    @given(seed=seeds, n=sizes)
-    def test_broadcast_gossip_dynamic(self, seed, n):
-        dyn = _dynamic(n, seed)
-        obj, vec = _pair(lambda: GossipAlgorithm(max), dyn, list(range(n)))
+    @given(seed=seeds, inputs=repeating_inputs())
+    def test_broadcast_gossip_dynamic(self, seed, inputs):
+        dyn = _dynamic(len(inputs), seed)
+        obj, vec = _pair(lambda: GossipAlgorithm(max), dyn, inputs)
         assert vec.vector_active
         obj.run(ROUNDS)
         vec.run(ROUNDS)
         assert vec.states == obj.states
+        assert _one_object_per_state(vec.states)
         assert vec.outputs() == obj.outputs()
 
     @settings(max_examples=10)
