@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.models import CommunicationModel
 
@@ -25,11 +25,27 @@ from repro.core.models import CommunicationModel
 class GraphFamily:
     """One buildable topology family: ``build(n, seed)`` plus an optional
     per-size constraint (``check_size(n)`` returns an error message or
-    ``None``)."""
+    ``None``).
+
+    ``uses_seed`` declares whether ``build`` reads its seed.  The default
+    is the safe one: a family that declares ``False`` promises that every
+    seed builds an equal graph, so one run may build its network once per
+    size and hand the same immutable graph to every seed and probe
+    (:meth:`network_key`).  ``tests/scenarios/test_graph_sharing.py``
+    proves each declaration.
+    """
 
     name: str
     build: Callable[[int, int], Any]
     check_size: Optional[Callable[[int], Optional[str]]] = None
+    uses_seed: bool = True
+
+    def network_key(self, n: int, seed: int) -> Tuple[Any, ...]:
+        """What fixes the graph ``build(n, seed)`` returns: the family and
+        the size, plus the seed only when the family reads it."""
+        if self.uses_seed:
+            return (self.name, n, seed)
+        return (self.name, n)
 
 
 def _build_complete(n: int, seed: int):
@@ -77,11 +93,11 @@ def _build_random(n: int, seed: int):
 GRAPH_FAMILIES: Dict[str, GraphFamily] = {
     family.name: family
     for family in (
-        GraphFamily("complete", _build_complete),
-        GraphFamily("ring", _build_ring),
-        GraphFamily("directed-ring", _build_directed_ring),
-        GraphFamily("star", _build_star),
-        GraphFamily("hypercube", _build_hypercube, _check_hypercube),
+        GraphFamily("complete", _build_complete, uses_seed=False),
+        GraphFamily("ring", _build_ring, uses_seed=False),
+        GraphFamily("directed-ring", _build_directed_ring, uses_seed=False),
+        GraphFamily("star", _build_star, uses_seed=False),
+        GraphFamily("hypercube", _build_hypercube, _check_hypercube, uses_seed=False),
         GraphFamily("random", _build_random),
     )
 }
@@ -123,15 +139,16 @@ INPUT_PATTERNS: Dict[str, Callable[[int, int], List[int]]] = {
 @dataclass(frozen=True)
 class Probe:
     """One grid probe: the algorithm, its model, the convergence target
-    as a function of the inputs, and the oracle saying where the probe is
-    *expected* to converge (a row is ``consistent`` when measurement and
-    oracle agree — including expected failures)."""
+    as a function of the inputs, and the oracle saying, from the built
+    graph, whether the probe is *expected* to converge (a row is
+    ``consistent`` when measurement and oracle agree — including expected
+    failures)."""
 
     name: str
     model: CommunicationModel
     factory: Callable[[], Any]
     target: Callable[[List[int], int], Any]
-    oracle: Callable[[str, int], bool]
+    oracle: Callable[[Any], bool]
 
 
 def _make_or_flood():
@@ -152,6 +169,13 @@ def _make_gossip_max():
     return GossipAlgorithm(max)
 
 
+def _hears_everyone(graph) -> bool:
+    """Whether every vertex's in-neighbours are all n vertices, each once:
+    the complete networks, whichever family builds them."""
+    everyone = list(graph.vertices())
+    return all(sorted(graph.in_neighbors(v)) == everyone for v in everyone)
+
+
 PROBES: Dict[str, Probe] = {
     probe.name: probe
     for probe in (
@@ -162,18 +186,19 @@ PROBES: Dict[str, Probe] = {
             CommunicationModel.ONE_BIT_BROADCAST,
             _make_or_flood,
             target=lambda bits, n: max(bits) if bits else 0,
-            oracle=lambda family, n: True,
+            oracle=lambda graph: True,
         ),
-        # The census counts ones exactly when indegree == n, i.e. on
-        # complete graphs with self-loops — everywhere else the expected
-        # verdict is failure (one bit per round does not carry a global
-        # multiset through a bottleneck).
+        # The census counts ones exactly when every agent hears every
+        # agent once, i.e. on complete networks with self-loops — small
+        # rings, stars and hypercubes included.  Everywhere else the
+        # expected verdict is failure (one bit per round does not carry a
+        # global multiset through a bottleneck).
         Probe(
             "census",
             CommunicationModel.ONE_BIT_BROADCAST,
             _make_census,
             target=lambda bits, n: (n, sum(bits)),
-            oracle=lambda family, n: family == "complete",
+            oracle=_hears_everyone,
         ),
         # Plain set-flooding gossip under simple broadcast — proves the
         # grid kind is not one-bit-specific.
@@ -182,7 +207,7 @@ PROBES: Dict[str, Probe] = {
             CommunicationModel.SIMPLE_BROADCAST,
             _make_gossip_max,
             target=lambda bits, n: max(bits) if bits else 0,
-            oracle=lambda family, n: True,
+            oracle=lambda graph: True,
         ),
     )
 }

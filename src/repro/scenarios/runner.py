@@ -7,11 +7,12 @@ durable table jobs — the golden-config tests pin exactly that.
 
 A ``"grid"`` scenario compiles each (graph family × size × seed × probe)
 unit to one :class:`~repro.core.engine.batch.BatchJob` driven by the δ0
-detector, sharing one :class:`~repro.core.engine.plan.PlanCache` across
-the grid sequentially or fanning units over the process pool when the
-config (or ``REPRO_PARALLEL``) asks for it.  Rows are served from the
-durable :class:`~repro.store.cache.ResultStore` when one is configured
-— row keys bind the unit parameters and the engine generation, never the
+detector, sharing one :class:`~repro.core.engine.plan.PlanCache` and one
+graph per distinct network across the grid sequentially, or fanning
+units over the process pool when the config (or ``REPRO_PARALLEL``) asks
+for it.  Rows are served from the durable
+:class:`~repro.store.cache.ResultStore` when one is configured — row
+keys bind the unit parameters and the engine generation, never the
 engine flags, so accelerated and direct runs share one cache.
 
 Documents are pure functions of the rows (no timestamps, no hostnames);
@@ -82,11 +83,19 @@ def compute_grid_row(
     quotient: Optional[bool] = None,
     vector: Optional[bool] = None,
     on_trace: Optional[Callable[[Dict[str, Any], List[Dict[str, Any]]], None]] = None,
+    graphs: Optional[Dict[Tuple[Any, ...], Any]] = None,
 ) -> Dict[str, Any]:
     """One grid unit: build the graph and inputs, run the probe under the
     δ0 detector, compare the verdict with the probe's oracle.  Served
     from ``store`` when warm (same fetch-or-compute contract as table
     cells).
+
+    ``graphs`` — when given — maps :meth:`GraphFamily.network_key
+    <repro.scenarios.registry.GraphFamily.network_key>` to the graph
+    built for it: the unit reuses a graph an earlier unit built and
+    records the one it builds.  Graphs are immutable, so a shared one
+    runs exactly like a fresh build.  Without it every unit builds its
+    own graph.
 
     ``on_trace(unit, snapshots)`` — when given — receives the unit's
     round-level :class:`~repro.core.engine.trace.Tracer` metric snapshots
@@ -99,7 +108,12 @@ def compute_grid_row(
     probe = PROBES[probe_name]
 
     def compute() -> Dict[str, Any]:
-        graph = GRAPH_FAMILIES[family].build(n, seed)
+        spec = GRAPH_FAMILIES[family]
+        built = {} if graphs is None else graphs
+        key = spec.network_key(n, seed)
+        graph = built.get(key)
+        if graph is None:
+            graph = built[key] = spec.build(n, seed)
         bits = INPUT_PATTERNS[scenario.inputs](n, seed)
         target = probe.target(bits, n)
         job = BatchJob(
@@ -131,7 +145,7 @@ def compute_grid_row(
                 ],
             )
         report = result.report
-        expected = probe.oracle(family, n)
+        expected = probe.oracle(graph)
         return {
             "probe": probe_name,
             "graph": family,
@@ -215,6 +229,11 @@ def run_scenario(
     like ``progress`` it forces the sequential path, and it is ignored
     for table scenarios (their cells ride the table machinery, which
     reports unit progress only).
+
+    The sequential path builds each distinct network once per call —
+    keyed by family and size, plus the seed for families that read it —
+    so every later unit on it reuses the graph, its compiled plan and
+    CSR, and its fingerprint.  Nothing is shared across calls.
     """
     from repro.store.cache import resolve_store
 
@@ -255,13 +274,14 @@ def run_scenario(
         )
     else:
         plan_cache = PlanCache()
+        graphs: Dict[Tuple[Any, ...], Any] = {}
         rows = []
         for done, (family, n, seed, probe) in enumerate(units, start=1):
             rows.append(
                 compute_grid_row(
                     scenario, family, n, seed, probe, plan_cache=plan_cache,
                     store=store, quotient=engine.quotient, vector=engine.vector,
-                    on_trace=on_trace,
+                    on_trace=on_trace, graphs=graphs,
                 )
             )
             if progress is not None:

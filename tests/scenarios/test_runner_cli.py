@@ -83,6 +83,63 @@ class TestEngineModeByteIdentity:
         assert again.title == scenario.title
 
 
+class TestCensusOracle:
+    """The census is expected to count exactly on complete networks —
+    every agent hears all n agents once — whichever family builds them."""
+
+    EXPECTED = {
+        ("ring", 3): True,
+        ("ring", 4): False,
+        ("star", 2): True,
+        ("hypercube", 2): True,
+        ("directed-ring", 2): True,
+        ("random", 2): True,
+    }
+
+    def small_complete_grid(self, tmp_path, **overrides):
+        return small_grid(
+            tmp_path,
+            seeds=[0],
+            graphs=[
+                {"family": "ring", "sizes": [3, 4]},
+                {"family": "star", "sizes": [2]},
+                {"family": "hypercube", "sizes": [2]},
+                {"family": "directed-ring", "sizes": [2]},
+                {"family": "random", "sizes": [2]},
+            ],
+            probes=["census"],
+            **overrides,
+        )
+
+    @pytest.mark.parametrize(
+        "engine", [{}, {"vector": True}, {"quotient": True}], ids=["object", "vector", "quotient"]
+    )
+    def test_small_complete_networks_pass(self, tmp_path, engine):
+        document = run_scenario(self.small_complete_grid(tmp_path, engine=engine))
+        assert document["summary"]["verdict"] == "PASS"
+        assert {
+            (row["graph"], row["n"]): row["expected_convergence"] for row in document["rows"]
+        } == self.EXPECTED
+        assert all(row["converged"] == row["expected_convergence"] for row in document["rows"])
+
+    def test_cli_exits_zero(self, tmp_path, capsysbinary):
+        self.small_complete_grid(tmp_path)
+        assert main(["run", str(tmp_path / "small.json")]) == 0
+
+    def test_oracle_reads_in_neighbours_with_multiplicity(self):
+        from repro.graphs.builders import complete_graph
+        from repro.graphs.digraph import DiGraph
+        from repro.scenarios import PROBES
+
+        oracle = PROBES["census"].oracle
+        assert oracle(complete_graph(5))
+        assert not oracle(complete_graph(5, self_loops=False))
+        # Vertex 1 hears vertex 0 twice and never itself: indegree n, yet
+        # its tally counts vertex 0's bit twice.
+        assert not oracle(DiGraph(2, [(0, 0), (1, 0), (0, 1), (0, 1)]))
+        assert all(PROBES[name].oracle(complete_graph(3)) for name in ("or-flood", "gossip-max"))
+
+
 class TestStore:
     def test_cold_and_warm_runs_identical(self, tmp_path, monkeypatch):
         from repro.store.cache import ResultStore
