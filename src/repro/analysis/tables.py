@@ -47,7 +47,7 @@ from repro.algorithms.push_sum import PushSumAlgorithm
 from repro.core.engine import BatchJob, PlanCache, run_batch
 from repro.core.models import CommunicationModel
 from repro.core.network_class import Knowledge
-from repro.core.memo import memoized_minimum_base
+from repro.core.memo import memoized, memoized_minimum_base
 from repro.dynamics.generators import random_dynamic_strongly_connected, random_dynamic_symmetric
 from repro.functions.classes import FunctionClass
 from repro.functions.library import AVERAGE, MAXIMUM, SUM
@@ -252,13 +252,21 @@ def _cell_manifest(
 
 def _sum_refutation(model: CommunicationModel, rounds: int = 24) -> bool:
     """§4.1 ring collapse: the sum differs across ``R_4`` and ``R_8`` with
-    frequency-equal inputs, while outputs are forced equal."""
-    base_values = [1, 2]
-    outcome = demonstrate_collapse(
-        GossipAlgorithm, n=4, m=8, base_values=base_values, rounds=rounds, model=model
-    )
-    sums = (sum(base_values) * 2, sum(base_values) * 4)
-    return outcome.lifted and sums[0] != sums[1]
+    frequency-equal inputs, while outputs are forced equal.
+
+    Pure in its arguments, so it is memoized by them (``sum_refutation``
+    in :mod:`repro.core.memo`): a table computes each distinct model's
+    refutation once."""
+
+    def refute() -> bool:
+        base_values = [1, 2]
+        outcome = demonstrate_collapse(
+            GossipAlgorithm, n=4, m=8, base_values=base_values, rounds=rounds, model=model
+        )
+        sums = (sum(base_values) * 2, sum(base_values) * 4)
+        return outcome.lifted and sums[0] != sums[1]
+
+    return memoized("sum_refutation", (model, rounds), refute)
 
 
 # ---------------------------------------------------------------------- #

@@ -248,11 +248,27 @@ class Execution:
         comparison would be wrong for sets: two equal frozensets may
         iterate — hence print — in different orders depending on insertion
         history and hash seed; the canonicalizer sorts them first.)
+
+        Outputs are read one agent at a time, and reading stops once the
+        answer is known: at once when the first output is ``None``, and at
+        the first agent that disagrees.  An agent whose state *is* the
+        first agent's state object is not read again (the vector engine
+        hands one state object to every agent holding the same packed
+        row), so a unanimous round of such states costs one ``output``
+        call.  An ``output`` that raises is raised only when it is
+        reached.
         """
-        outs = self.outputs()
-        first = outs[0]
+        states = self.states
+        output = self.algorithm.output
+        first_state = states[0]
+        first = output(first_state)
+        if first is None:
+            return None
         first_canonical: Optional[str] = None
-        for o in outs[1:]:
+        for state in states[1:]:
+            if state is first_state:
+                continue
+            o = output(state)
             try:
                 if o == first:
                     continue

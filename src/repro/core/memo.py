@@ -31,6 +31,11 @@ On top of it sit four process-local LRU caches:
 * ``delivery_plan``      — fingerprint → compiled ``DeliveryPlan``
 * ``interned_graph``     — fingerprint → first-seen ``DiGraph`` instance
 
+and one keyed by arguments rather than by a graph:
+
+* ``sum_refutation``     — ``(model, rounds)`` → the verdict of the
+  tables' §4.1 ring-collapse refutation of the sum (:func:`memoized`)
+
 Graph *interning* (:func:`intern_graph`) maps every content-equal graph
 to one representative instance, which makes the engine's identity-keyed
 :class:`~repro.core.engine.plan.PlanCache` hit on revisited topologies;
@@ -63,7 +68,7 @@ import hashlib
 import os
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Hashable, List, Optional, TYPE_CHECKING
 
 from repro.envflags import env_flag
 
@@ -141,9 +146,9 @@ class MemoCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._data: "OrderedDict[str, Any]" = OrderedDict()
+        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
 
-    def get(self, key: str) -> Optional[Any]:
+    def get(self, key: Hashable) -> Optional[Any]:
         value = self._data.get(key)
         if value is None:
             self.misses += 1
@@ -152,7 +157,7 @@ class MemoCache:
         self._data.move_to_end(key)
         return value
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         self._data[key] = value
         self._data.move_to_end(key)
         if len(self._data) > self.maxsize:
@@ -170,7 +175,7 @@ class MemoCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
     def __repr__(self) -> str:
@@ -186,6 +191,7 @@ _CACHES: Dict[str, MemoCache] = {
     "equitable_partition": MemoCache("equitable_partition"),
     "delivery_plan": MemoCache("delivery_plan", maxsize=256),
     "interned_graph": MemoCache("interned_graph"),
+    "sum_refutation": MemoCache("sum_refutation", maxsize=64),
 }
 
 _MINIMUM_BASES = _CACHES["minimum_base"]
@@ -237,6 +243,21 @@ def publish_memo_metrics(registry, baseline: Optional[Dict[str, Dict[str, int]]]
         prior = base.get(name, {})
         registry.counter(f"memo_{name}_hits").inc(stats["hits"] - prior.get("hits", 0))
         registry.counter(f"memo_{name}_misses").inc(stats["misses"] - prior.get("misses", 0))
+
+
+def memoized(cache: str, key: Hashable, compute: Callable[[], Any]) -> Any:
+    """``compute()``, kept in the named cache under ``key`` — for pure
+    functions keyed by their (hashable) arguments.  ``compute`` must not
+    return ``None`` (a miss reads as ``None``).  With the memo layer off
+    every call computes."""
+    if not memo_enabled():
+        return compute()
+    memo = _CACHES[cache]
+    value = memo.get(key)
+    if value is None:
+        value = compute()
+        memo.put(key, value)
+    return value
 
 
 # ---------------------------------------------------------------------- #

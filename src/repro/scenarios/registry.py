@@ -16,6 +16,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.models import CommunicationModel
 
+#: The generation of what a grid row says.  Bump when a probe's factory,
+#: target or oracle changes what a row says: scenario row keys and
+#: scenario document keys bind it, so a store filled under the old
+#: meaning is never served for the new one.  It is written into no
+#: document.  (2: the census oracle reads the built graph, not the
+#: family name.)
+SCENARIO_VERSION = 2
+
 
 # ---------------------------------------------------------------------- #
 # graph families

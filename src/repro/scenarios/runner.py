@@ -7,13 +7,15 @@ durable table jobs — the golden-config tests pin exactly that.
 
 A ``"grid"`` scenario compiles each (graph family × size × seed × probe)
 unit to one :class:`~repro.core.engine.batch.BatchJob` driven by the δ0
-detector, sharing one :class:`~repro.core.engine.plan.PlanCache` and one
-graph per distinct network across the grid sequentially, or fanning
-units over the process pool when the config (or ``REPRO_PARALLEL``) asks
-for it.  Rows are served from the durable
+detector.  Sequentially the grid shares one
+:class:`~repro.core.engine.plan.PlanCache`, one graph per distinct
+network and one run per distinct network, input vector and probe;
+otherwise units fan out over the process pool when the config (or
+``REPRO_PARALLEL``) asks for it.  Rows are served from the durable
 :class:`~repro.store.cache.ResultStore` when one is configured — row
-keys bind the unit parameters and the engine generation, never the
-engine flags, so accelerated and direct runs share one cache.
+keys bind the unit parameters, the engine generation and
+:data:`~repro.scenarios.registry.SCENARIO_VERSION`, never the engine
+flags, so accelerated and direct runs share one cache.
 
 Documents are pure functions of the rows (no timestamps, no hostnames);
 :func:`document_bytes` is the single canonical serialization everything
@@ -26,7 +28,7 @@ import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.engine import ENGINE_VERSION, BatchJob, PlanCache, run_batch
-from repro.scenarios.registry import GRAPH_FAMILIES, INPUT_PATTERNS, PROBES
+from repro.scenarios.registry import GRAPH_FAMILIES, INPUT_PATTERNS, PROBES, SCENARIO_VERSION
 from repro.scenarios.schema import Scenario
 
 
@@ -59,8 +61,11 @@ def _json_safe(value: Any) -> Any:
 def _row_params(scenario: Scenario, family: str, n: int, seed: int, probe: str) -> Dict[str, Any]:
     """The store-key parameters of one grid row: everything that
     determines the row's content, nothing that only picks an engine mode
-    (and not the scenario name — configs sharing units share cache)."""
+    (and not the scenario name — configs sharing units share cache).
+    ``scenario_version`` stands for what the names mean: the probe's
+    factory, target and oracle."""
     return {
+        "scenario_version": SCENARIO_VERSION,
         "model": scenario.model.value,
         "knowledge": None if scenario.knowledge is None else scenario.knowledge.value,
         "rounds": scenario.rounds,
@@ -83,39 +88,40 @@ def compute_grid_row(
     quotient: Optional[bool] = None,
     vector: Optional[bool] = None,
     on_trace: Optional[Callable[[Dict[str, Any], List[Dict[str, Any]]], None]] = None,
-    graphs: Optional[Dict[Tuple[Any, ...], Any]] = None,
+    memo: Optional[Dict[Tuple[Any, ...], Any]] = None,
 ) -> Dict[str, Any]:
     """One grid unit: build the graph and inputs, run the probe under the
     δ0 detector, compare the verdict with the probe's oracle.  Served
     from ``store`` when warm (same fetch-or-compute contract as table
     cells).
 
-    ``graphs`` — when given — maps :meth:`GraphFamily.network_key
-    <repro.scenarios.registry.GraphFamily.network_key>` to the graph
-    built for it: the unit reuses a graph an earlier unit built and
-    records the one it builds.  Graphs are immutable, so a shared one
-    runs exactly like a fresh build.  Without it every unit builds its
-    own graph.
+    ``memo`` — when given — is one grid run's dict of what its units
+    share, keyed by tuples led by a tag.  ``("graph", network)`` holds
+    the graph built for :meth:`GraphFamily.network_key
+    <repro.scenarios.registry.GraphFamily.network_key>`; graphs are
+    immutable, so a shared one runs exactly like a fresh build.
+    ``("run", network, bits, probe)`` holds the outcome of the δ0 run on
+    that graph from that input vector, plus its round snapshots when
+    tracing.  A run reads only the graph, the inputs, the probe and the
+    round budget, so a later unit with the same key — another seed that
+    the family and the input pattern both ignore — takes the recorded
+    outcome under its own ``seed`` instead of running again.  The run
+    entries assume one scenario, one engine setting and one ``on_trace``
+    for every unit that reads them, as inside :func:`run_scenario`.
+    Without ``memo`` every unit builds its graph and runs.
 
     ``on_trace(unit, snapshots)`` — when given — receives the unit's
     round-level :class:`~repro.core.engine.trace.Tracer` metric snapshots
-    (one dict per round, wall-clock fields dropped) after the unit runs.
-    Tracing rides the PR-3 no-interference contract, so the row — and
-    hence the document and its store key — is byte-identical with or
-    without it.  Units served from the store run no rounds and report no
-    snapshots.
+    (one dict per round, wall-clock fields dropped) after the unit runs;
+    a unit that reuses a recorded run receives that run's snapshots
+    under its own unit.  Tracing rides the tracer's no-interference
+    contract, so the row — and hence the document and its store key — is
+    byte-identical with or without it.  Units served from the store run
+    no rounds and report no snapshots.
     """
     probe = PROBES[probe_name]
 
-    def compute() -> Dict[str, Any]:
-        spec = GRAPH_FAMILIES[family]
-        built = {} if graphs is None else graphs
-        key = spec.network_key(n, seed)
-        graph = built.get(key)
-        if graph is None:
-            graph = built[key] = spec.build(n, seed)
-        bits = INPUT_PATTERNS[scenario.inputs](n, seed)
-        target = probe.target(bits, n)
+    def run(graph, bits: List[int], target: Any) -> Tuple[Dict[str, Any], Any]:
         job = BatchJob(
             probe.factory(),
             graph,
@@ -135,17 +141,43 @@ def compute_grid_row(
         (result,) = run_batch(
             [job], plan_cache=plan_cache, quotient=quotient, vector=vector
         )
+        snapshots = None
         if tracer is not None:
-            on_trace(
-                {"graph": family, "n": n, "seed": seed, "probe": probe_name},
-                [
-                    {"round": event.round, **event.deterministic_fields()}
-                    for event in tracer.events
-                    if event.kind == "round"
-                ],
-            )
+            snapshots = [
+                {"round": event.round, **event.deterministic_fields()}
+                for event in tracer.events
+                if event.kind == "round"
+            ]
         report = result.report
         expected = probe.oracle(graph)
+        outcome = {
+            "converged": report.converged,
+            "stabilization_round": report.stabilization_round,
+            "rounds_run": report.rounds_run,
+            "expected_convergence": expected,
+            "consistent": report.converged == expected,
+        }
+        return outcome, snapshots
+
+    def compute() -> Dict[str, Any]:
+        spec = GRAPH_FAMILIES[family]
+        shared = {} if memo is None else memo
+        network = spec.network_key(n, seed)
+        graph = shared.get(("graph", network))
+        if graph is None:
+            graph = shared[("graph", network)] = spec.build(n, seed)
+        bits = INPUT_PATTERNS[scenario.inputs](n, seed)
+        target = probe.target(bits, n)
+        key = ("run", network, tuple(bits), probe_name)
+        recorded = shared.get(key)
+        if recorded is None:
+            recorded = shared[key] = run(graph, bits, target)
+        outcome, snapshots = recorded
+        if on_trace is not None:
+            on_trace(
+                {"graph": family, "n": n, "seed": seed, "probe": probe_name},
+                [dict(snapshot) for snapshot in snapshots],
+            )
         return {
             "probe": probe_name,
             "graph": family,
@@ -153,11 +185,7 @@ def compute_grid_row(
             "seed": seed,
             "inputs": scenario.inputs,
             "target": _json_safe(target),
-            "converged": report.converged,
-            "stabilization_round": report.stabilization_round,
-            "rounds_run": report.rounds_run,
-            "expected_convergence": expected,
-            "consistent": report.converged == expected,
+            **outcome,
         }
 
     if store is None:
@@ -233,7 +261,11 @@ def run_scenario(
     The sequential path builds each distinct network once per call —
     keyed by family and size, plus the seed for families that read it —
     so every later unit on it reuses the graph, its compiled plan and
-    CSR, and its fingerprint.  Nothing is shared across calls.
+    CSR, and its fingerprint.  It also runs each distinct (network,
+    input vector, probe) once: a later unit with the same three takes
+    the recorded row under its own seed, and its tracer snapshots are
+    replayed to ``on_trace``.  Every unit still has its own store entry
+    and ``progress`` call.  Nothing is shared across calls.
     """
     from repro.store.cache import resolve_store
 
@@ -274,14 +306,14 @@ def run_scenario(
         )
     else:
         plan_cache = PlanCache()
-        graphs: Dict[Tuple[Any, ...], Any] = {}
+        memo: Dict[Tuple[Any, ...], Any] = {}
         rows = []
         for done, (family, n, seed, probe) in enumerate(units, start=1):
             rows.append(
                 compute_grid_row(
                     scenario, family, n, seed, probe, plan_cache=plan_cache,
                     store=store, quotient=engine.quotient, vector=engine.vector,
-                    on_trace=on_trace, graphs=graphs,
+                    on_trace=on_trace, memo=memo,
                 )
             )
             if progress is not None:

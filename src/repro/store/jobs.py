@@ -76,7 +76,15 @@ def open_queue(
 
 
 def document_key(kind: str, params: Dict[str, Any]) -> str:
-    """The store key under which a job's final document lands."""
+    """The store key under which a job's final document lands.  A
+    scenario document's key also binds
+    :data:`~repro.scenarios.registry.SCENARIO_VERSION`, here rather than
+    in ``params``, so every caller that derives the key gets the same one
+    while the stored entry keeps ``{"config": ...}`` as its params."""
+    if kind == "scenario":
+        from repro.scenarios.registry import SCENARIO_VERSION
+
+        params = {**params, "scenario_version": SCENARIO_VERSION}
     return result_key(f"{kind}-doc", params)
 
 

@@ -214,3 +214,50 @@ class TestMetricsPublication:
         publish_memo_metrics(registry, baseline)
         assert registry.counter("memo_minimum_base_hits").value == 1
         assert registry.counter("memo_minimum_base_misses").value == 0
+
+
+class TestSumRefutationMemo:
+    """The tables' §4.1 ring-collapse refutation is pure in its
+    arguments, so a table computes each distinct model's once."""
+
+    @staticmethod
+    def run_tables(monkeypatch, memo):
+        """Tables 1 and 2, each from cold memos as in the benchmark:
+        per table, its cell payloads, the memo's calls and misses, and
+        how many refutations were computed."""
+        import collections
+
+        from repro.analysis import tables
+
+        for flag in ("REPRO_PARALLEL", "REPRO_STORE"):
+            monkeypatch.delenv(flag, raising=False)
+        monkeypatch.setenv("REPRO_MEMO", "1" if memo else "0")
+        computed = collections.Counter()
+        real = tables.demonstrate_collapse
+
+        def counting(*args, **kwargs):
+            computed["refutations"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tables, "demonstrate_collapse", counting)
+        results = []
+        for reproduce, n in ((tables.reproduce_table1, 6), (tables.reproduce_table2, 5)):
+            clear_memos()
+            computed.clear()
+            cells = [tables.cell_to_payload(cell) for cell in reproduce(n, 0)]
+            stats = memo_stats()["sum_refutation"]
+            results.append(
+                (cells, stats["hits"] + stats["misses"], stats["misses"], computed["refutations"])
+            )
+        return results
+
+    def test_each_table_computes_each_model_once(self, monkeypatch):
+        table1, table2 = self.run_tables(monkeypatch, memo=True)
+        assert table1[1:] == (6, 3, 3)
+        assert table2[1:] == (4, 2, 2)
+
+    def test_memo_off_computes_every_call_and_changes_no_cell(self, monkeypatch):
+        on = self.run_tables(monkeypatch, memo=True)
+        off = self.run_tables(monkeypatch, memo=False)
+        assert [table[3] for table in off] == [6, 4]
+        assert [table[0] for table in off] == [table[0] for table in on]

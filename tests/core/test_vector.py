@@ -350,13 +350,21 @@ class TestEqualButDifferentlySpelled:
     def test_gossip_grid_activates_on_every_row(self, monkeypatch):
         # The check must not misfire on ordinary inputs: if it did, the
         # vector leg of the grid would silently run the object engine.
-        from repro.scenarios import load_scenario, run_scenario
+        # A grid run makes one run per distinct network, input vector
+        # and probe (28 for the 48 rows); unit by unit, every row runs.
+        from repro.scenarios import compute_grid_row, grid_units, load_scenario, run_scenario
 
         for flag in ("REPRO_PARALLEL", "REPRO_QUOTIENT", "REPRO_STORE"):
             monkeypatch.delenv(flag, raising=False)
         monkeypatch.setenv("REPRO_VECTOR", "1")
         root = os.path.join(os.path.dirname(__file__), "..", "..", "configs")
-        run_scenario(load_scenario(os.path.join(root, "gossip_grid.json")))
+        scenario = load_scenario(os.path.join(root, "gossip_grid.json"))
+        run_scenario(scenario)
+        stats = vector_stats()
+        assert (stats["activations"], stats["fallbacks"]) == (28, 0)
+        clear_vector_stats()
+        for unit in grid_units(scenario):
+            compute_grid_row(scenario, *unit)
         stats = vector_stats()
         assert (stats["activations"], stats["fallbacks"]) == (48, 0)
 

@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.scenarios import document_bytes, load_scenario, run_scenario
+from repro.scenarios import compute_grid_row, document_bytes, grid_units, load_scenario, run_scenario
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 CONFIGS = os.path.join(REPO_ROOT, "configs")
@@ -139,7 +139,9 @@ class TestShippedGridConfig:
 
     def test_gossip_grid_quotient_run_matches_object_run(self, monkeypatch):
         # One-hot inputs refine the base: the quotient engine activates on
-        # half the rows and must still emit the object engine's bytes.
+        # half the runs and must still emit the object engine's bytes.  A
+        # grid run makes one run per distinct network, input vector and
+        # probe (28 for the 48 rows); unit by unit, every row runs.
         from repro.core.engine.quotient import quotient_stats
 
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
@@ -149,13 +151,24 @@ class TestShippedGridConfig:
         plain = run_scenario(scenario)
         assert plain["summary"] == {"rows": 48, "consistent": 48, "verdict": "PASS"}
         monkeypatch.setenv("REPRO_QUOTIENT", "1")
-        before = quotient_stats()
-        quotient = run_scenario(scenario)
-        after = quotient_stats()
+
+        def counted(run):
+            before = quotient_stats()
+            result = run()
+            after = quotient_stats()
+            return result, after["activations"] - before["activations"], {
+                reason: count - before["fallback_reasons"].get(reason, 0)
+                for reason, count in after["fallback_reasons"].items()
+                if count != before["fallback_reasons"].get(reason, 0)
+            }
+
+        quotient, activations, fallbacks = counted(lambda: run_scenario(scenario))
         assert document_bytes(quotient) == document_bytes(plain)
-        assert after["activations"] - before["activations"] == 24
-        assert {
-            reason: count - before["fallback_reasons"].get(reason, 0)
-            for reason, count in after["fallback_reasons"].items()
-            if count != before["fallback_reasons"].get(reason, 0)
-        } == {"trivial-base": 16, "base-too-large": 8}
+        assert activations == 12
+        assert fallbacks == {"trivial-base": 12, "base-too-large": 4}
+        rows, activations, fallbacks = counted(
+            lambda: [compute_grid_row(scenario, *unit) for unit in grid_units(scenario)]
+        )
+        assert rows == plain["rows"]
+        assert activations == 24
+        assert fallbacks == {"trivial-base": 16, "base-too-large": 8}

@@ -126,6 +126,66 @@ class TestCensusOracle:
         self.small_complete_grid(tmp_path)
         assert main(["run", str(tmp_path / "small.json")]) == 0
 
+    def test_store_filled_under_the_family_name_oracle_is_not_served(
+        self, tmp_path, capsysbinary, monkeypatch
+    ):
+        # A store filled by a build whose census oracle read the family
+        # name holds these rows: ring at n = 3, star and hypercube at
+        # n = 2 read "not expected to converge", so three rows say ✗ and
+        # the document says FAIL.  Their keys are spelled out in the
+        # shape those builds used: no scenario version bound.
+        from repro.scenarios import compute_grid_row
+        from repro.scenarios.runner import scenario_document
+        from repro.store.cache import ResultStore, result_key
+        from repro.store.jobs import expected_result_key
+
+        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        scenario = small_grid(
+            tmp_path,
+            seeds=[0],
+            graphs=[
+                {"family": "ring", "sizes": [3, 4]},
+                {"family": "star", "sizes": [2]},
+                {"family": "hypercube", "sizes": [2]},
+            ],
+            probes=["census"],
+        )
+        store = ResultStore(tmp_path / "store")
+        stale_rows = []
+        for family, n, seed, probe in grid_units(scenario):
+            row = compute_grid_row(scenario, family, n, seed, probe)
+            expected = family == "complete"
+            row.update(expected_convergence=expected, consistent=row["converged"] == expected)
+            params = {
+                "model": "one-bit broadcast",
+                "knowledge": None,
+                "rounds": 8,
+                "inputs": "alternating",
+                "graph": family,
+                "n": n,
+                "seed": seed,
+                "probe": probe,
+            }
+            store.put(result_key("scenario-row", params), row, kind="scenario-row", params=params)
+            stale_rows.append(row)
+        assert sum(not row["consistent"] for row in stale_rows) == 3
+        stale_params = {"config": scenario.identity()}
+        stale_key = result_key("scenario-doc", stale_params)
+        store.put(
+            stale_key,
+            scenario_document(scenario, stale_rows),
+            kind="scenario-doc",
+            params=stale_params,
+        )
+
+        code = main(
+            ["run", str(tmp_path / "small.json"), "--store", str(tmp_path / "store"), "--pretty"]
+        )
+        out = capsysbinary.readouterr().out.decode("utf-8")
+        assert code == 0
+        assert "✗" not in out and out.count("✓") == 4
+        assert expected_result_key("scenario", {"config": scenario.normalized()}) != stale_key
+
     def test_oracle_reads_in_neighbours_with_multiplicity(self):
         from repro.graphs.builders import complete_graph
         from repro.graphs.digraph import DiGraph
