@@ -112,11 +112,7 @@ def trace_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.algorithms import GossipAlgorithm, PushSumAlgorithm
-    from repro.analysis.provenance import (
-        Manifest,
-        current_backend,
-        network_fingerprint,
-    )
+    from repro.analysis.provenance import Manifest, network_fingerprint
     from repro.core.engine.quotient import publish_quotient_metrics, quotient_stats
     from repro.core.engine.trace import trace_execution, write_jsonl
     from repro.core.engine.vector import publish_vector_metrics, vector_stats
@@ -207,7 +203,7 @@ def trace_main(argv=None) -> int:
         n=n,
         rounds=args.rounds,
         graph_hash=network_fingerprint(network),
-        backend=current_backend(),
+        backend="sequential",
         extra=extra,
     )
     events = list(tracer.events) + [tracer.summary_event()]
@@ -720,17 +716,6 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=6, help="network size for the probes")
     parser.add_argument("--seed", type=int, default=0, help="random-graph seed")
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan the table cells across a process pool",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool size for --parallel (default: one per CPU)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit a machine-readable reproduction certificate instead of tables",
@@ -762,15 +747,12 @@ def main(argv=None) -> int:
         doc = reproduction_certificate(
             n=args.n,
             seed=args.seed,
-            parallel=True if args.parallel else None,
-            workers=args.workers,
             quotient=True if args.quotient else None,
             vector=True if args.vector else None,
         )
         print(json.dumps(doc, indent=2))
         return 0 if doc["summary"]["verdict"] == "PASS" else 1
 
-    parallel = True if args.parallel else None  # None keeps the env default
     quotient = True if args.quotient else None  # None keeps the env default
     vector = True if args.vector else None  # None keeps the env default
     failures = 0
@@ -778,8 +760,6 @@ def main(argv=None) -> int:
         results = reproduce_table1(
             n=args.n,
             seed=args.seed,
-            parallel=parallel,
-            workers=args.workers,
             quotient=quotient,
             vector=vector,
         )
@@ -790,8 +770,6 @@ def main(argv=None) -> int:
         results = reproduce_table2(
             n=min(args.n, 6),
             seed=args.seed,
-            parallel=parallel,
-            workers=args.workers,
             quotient=quotient,
             vector=vector,
         )

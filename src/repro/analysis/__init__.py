@@ -17,10 +17,8 @@ from repro.analysis.certificate import (
     reproduction_certificate,
     verify_certificate,
 )
-from repro.analysis.profiling import Profiler, profile_batch, profile_report
 from repro.analysis.provenance import (
     Manifest,
-    current_backend,
     graph_fingerprint,
     network_fingerprint,
 )
@@ -38,12 +36,10 @@ __all__ = [
     "CellResult",
     "CollapseOutcome",
     "Manifest",
-    "Profiler",
     "ProofCheck",
     "bandwidth_curve",
     "bandwidth_sweep",
     "certificate_json",
-    "current_backend",
     "demonstrate_collapse",
     "frequency_counterexample",
     "graph_fingerprint",
@@ -51,8 +47,6 @@ __all__ = [
     "network_fingerprint",
     "outputs_match",
     "parse_certificate",
-    "profile_batch",
-    "profile_report",
     "render_table",
     "reproduce_table1",
     "reproduce_table2",

@@ -153,33 +153,12 @@ def traced_bytes_curve(execution: Execution, rounds: int) -> List[Tuple[int, int
     ]
 
 
-def _bandwidth_task(spec) -> List[int]:
-    from repro.core.engine.quotient import quotient_enabled_by_env
-
-    algorithm_factory, network_factory, inputs, rounds = spec[:4]
-    quotient = spec[4] if len(spec) > 4 else None
-    if quotient is None:
-        quotient = quotient_enabled_by_env()
-    execution = Execution(
-        algorithm_factory(),
-        network_factory(),
-        inputs=list(inputs),
-        quotient=quotient,
-    )
-    return bandwidth_curve(execution, rounds)
-
-
-def bandwidth_sweep(
-    specs, parallel: bool = False, workers=None, quotient=None
-) -> List[List[int]]:
+def bandwidth_sweep(specs, quotient=None) -> List[List[int]]:
     """Bandwidth curves for a grid of executions, in spec order.
 
     ``specs`` is a sequence of
     ``(algorithm_factory, network_factory, inputs, rounds)`` tuples —
-    factories, so every run gets fresh algorithm state and the specs
-    stay cheap to ship to pool workers.  The runs are independent, so
-    ``parallel=True`` fans them across a process pool
-    (:func:`repro.core.engine.parallel.parallel_map`).
+    factories, so every run gets fresh algorithm state.
 
     ``quotient=True`` runs each execution quotient-accelerated
     (:class:`~repro.core.engine.quotient.QuotientExecution`); ``None``
@@ -187,9 +166,19 @@ def bandwidth_sweep(
     maximum over states, and the fibres cover every base class, so
     base-run curves equal full-run curves exactly.
     """
-    specs = [tuple(s) + (quotient,) for s in specs]
-    if parallel:
-        from repro.core.engine.parallel import parallel_map
+    from repro.core.engine.quotient import quotient_enabled_by_env
 
-        return parallel_map(_bandwidth_task, specs, workers=workers)
-    return [_bandwidth_task(s) for s in specs]
+    if quotient is None:
+        quotient = quotient_enabled_by_env()
+    return [
+        bandwidth_curve(
+            Execution(
+                algorithm_factory(),
+                network_factory(),
+                inputs=list(inputs),
+                quotient=quotient,
+            ),
+            rounds,
+        )
+        for algorithm_factory, network_factory, inputs, rounds in specs
+    ]

@@ -46,61 +46,36 @@ _cell_record = cell_to_payload
 def reproduction_certificate(
     n: int = 6,
     seed: int = 0,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
     vector: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """Run both tables and assemble the certificate document.
 
-    ``parallel``/``workers`` follow the :func:`~repro.analysis.tables.reproduce_table1`
-    contract (``None`` defers to ``REPRO_PARALLEL=1``); the backend that
-    actually drove the run is recorded on the document-level manifest,
-    while the per-cell manifests stay backend-free (and therefore
-    bit-identical across backends).  ``store`` follows the same contract
-    as the table functions: individual cells are served from the durable
-    result store when warm and persisted when cold.  ``quotient`` follows
-    the tables' contract too (``None`` defers to ``REPRO_QUOTIENT``);
-    quotient and direct cells are byte-identical, so it never appears in
-    the document itself.  ``vector`` works the same way for the
-    vectorized numpy backend (``None`` defers to ``REPRO_VECTOR``).
+    The document-level manifest records ``backend: "sequential"``; the
+    per-cell manifests stay backend-free.  ``store`` follows the same
+    contract as the table functions: individual cells are served from
+    the durable result store when warm and persisted when cold.
+    ``quotient`` follows the tables' contract too (``None`` defers to
+    ``REPRO_QUOTIENT``); quotient and direct cells are byte-identical,
+    so it never appears in the document itself.  ``vector`` works the
+    same way for the vectorized numpy backend (``None`` defers to
+    ``REPRO_VECTOR``).
     """
-    from repro.core.engine.batch import parallel_enabled_by_env
-
-    resolved_parallel = parallel_enabled_by_env() if parallel is None else parallel
     table1 = [
         _cell_record(r)
         for r in reproduce_table1(
-            n=n,
-            seed=seed,
-            parallel=parallel,
-            workers=workers,
-            store=store,
-            quotient=quotient,
-            vector=vector,
+            n=n, seed=seed, store=store, quotient=quotient, vector=vector
         )
     ]
     table2 = [
         _cell_record(r)
         for r in reproduce_table2(
-            n=min(n, 6),
-            seed=seed,
-            parallel=parallel,
-            workers=workers,
-            store=store,
-            quotient=quotient,
-            vector=vector,
+            n=min(n, 6), seed=seed, store=store, quotient=quotient, vector=vector
         )
     ]
     all_cells = table1 + table2
-    manifest = Manifest(
-        kind="certificate",
-        seed=seed,
-        n=n,
-        backend="parallel" if resolved_parallel else "sequential",
-        extra={} if workers is None else {"workers": workers},
-    )
+    manifest = Manifest(kind="certificate", seed=seed, n=n, backend="sequential")
     return {
         "paper": (
             "Know your audience: Communication model and computability in "
@@ -125,16 +100,9 @@ def certificate_json(
     n: int = 6,
     seed: int = 0,
     indent: int = 2,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     store=None,
 ) -> str:
-    return json.dumps(
-        reproduction_certificate(
-            n=n, seed=seed, parallel=parallel, workers=workers, store=store
-        ),
-        indent=indent,
-    )
+    return json.dumps(reproduction_certificate(n=n, seed=seed, store=store), indent=indent)
 
 
 def write_certificate(path, doc: Dict[str, Any], indent: int = 2) -> None:
@@ -242,6 +210,7 @@ def verify_certificate(doc: Dict[str, Any]) -> List[str]:
     for key, value in recount.items():
         if summary.get(key) != value:
             problems.append(f"summary.{key} = {summary.get(key)!r}, recount says {value!r}")
+    # Certificates written by earlier versions may record "parallel".
     top = doc.get("manifest") or {}
     if top.get("kind") != "certificate":
         problems.append("document manifest missing or not kind='certificate'")

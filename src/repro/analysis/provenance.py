@@ -4,17 +4,15 @@ Every regenerated artifact — a Table 1/2 cell, a reproduction
 certificate, a rate-sweep check, an impossibility counterexample, a
 JSONL trace — carries a :class:`Manifest` recording the seed, the
 network's content fingerprint, the communication model and help level,
-the engine generation, and (for whole documents) the sequential/parallel
-backend that drove it.  A result without its manifest is an assertion; a
-result with one is auditable: rerun the manifest's parameters and you
-must land on the same bits.
+the engine generation, and (for whole documents) the backend that drove
+it.  A result without its manifest is an assertion; a result with one is
+auditable: rerun the manifest's parameters and you must land on the same
+bits.
 
 Cell- and sweep-level manifests deliberately contain **only
-deterministic fields** (no backend, no wall-clock): the parallel
-backend's bit-identity contract extends to them, so a cell regenerated
-in a pool worker carries the same manifest as its sequential twin.  The
-backend and worker count are recorded once, on the enclosing document's
-manifest, where sequential/parallel runs legitimately differ.
+deterministic fields** (no backend, no wall-clock).  The backend is
+recorded once, on the enclosing document's manifest; every document
+written today records ``"sequential"``.
 """
 
 from __future__ import annotations
@@ -46,15 +44,6 @@ def network_fingerprint(network: Any, rounds: int = 6) -> str:
     for t in range(1, rounds + 1):
         parts.append(graph_fingerprint(network.graph_at(t)))
     return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()[:16]
-
-
-def current_backend() -> str:
-    """``"parallel"`` when this code runs in (or defaults to) the
-    process-parallel backend, else ``"sequential"``."""
-    from repro.core.engine.batch import parallel_enabled_by_env
-    from repro.core.engine.parallel import in_worker
-
-    return "parallel" if (in_worker() or parallel_enabled_by_env()) else "sequential"
 
 
 @dataclass(frozen=True)

@@ -221,31 +221,15 @@ def check_proof_invariants(n: int, d: int, seed: int, rounds: int, store=None) -
     )
 
 
-def _proof_check_task(spec) -> ProofCheck:
-    """One check from a picklable spec; an optional fifth element names a
-    store root so pool workers share the parent's on-disk cache."""
-    n, d, seed, rounds = spec[:4]
-    store = None
-    if len(spec) > 4 and spec[4]:
-        from repro.store.cache import ResultStore
-
-        store = ResultStore(spec[4])
-    return check_proof_invariants(n, d, seed, rounds, store=store)
-
-
-def sweep_proof_invariants(
-    specs, parallel: bool = False, workers=None, store=None
-) -> List[ProofCheck]:
+def sweep_proof_invariants(specs, store=None) -> List[ProofCheck]:
     """Check Theorem 5.2's proof inequalities across a grid of runs.
 
     ``specs`` is a sequence of ``(n, d, seed, rounds)`` tuples; each one
     builds a seeded random dynamic strongly connected network, traces
     Push-Sum on it, and verifies every inequality of the proof (``d`` is
     the dynamic-diameter bound to verify against; ``n - 1`` is always
-    sound for per-round strongly connected graphs).  Configurations are
-    independent, so ``parallel=True`` fans them across a process pool
-    (:func:`repro.core.engine.parallel.parallel_map`); results come back
-    in spec order either way.  ``store`` short-circuits already-checked
+    sound for per-round strongly connected graphs).  Results come back
+    in spec order.  ``store`` short-circuits already-checked
     configurations from the durable result store (``None`` defers to the
     ``REPRO_STORE`` environment variable), which is what lets a killed
     sweep resume from its last finished configuration.
@@ -253,12 +237,4 @@ def sweep_proof_invariants(
     from repro.store.cache import resolve_store
 
     store = resolve_store(store)
-    specs = [tuple(s) for s in specs]
-    if parallel:
-        from repro.core.engine.parallel import parallel_map
-
-        root = getattr(store, "root", None)
-        return parallel_map(
-            _proof_check_task, [s + (root,) for s in specs], workers=workers
-        )
     return [check_proof_invariants(*s, store=store) for s in specs]

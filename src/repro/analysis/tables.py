@@ -68,9 +68,8 @@ class CellResult:
     consistent: bool
     details: List[str] = field(default_factory=list)
     #: Provenance of the cell's probes (seed, network fingerprint, model,
-    #: help level, engine generation) — deterministic fields only, so a
-    #: cell regenerated in a pool worker carries the same manifest as its
-    #: sequential twin.
+    #: help level, engine generation) — deterministic fields only, so
+    #: every run of the cell carries the same manifest.
     manifest: Optional[Manifest] = None
 
     def label(self) -> str:
@@ -595,74 +594,42 @@ def compute_cell(
     )
 
 
-def _cell_task(spec) -> CellResult:
-    """One table cell from a picklable spec — the unit the pool fans out.
-
-    The spec optionally carries a store root (sixth element) so pool
-    workers consult and fill the same on-disk result store the parent
-    uses (atomic writes make concurrent fills safe), the quotient
-    override (seventh element), and the vector override (eighth)."""
-    dynamic, model, knowledge, n, seed = spec[:5]
-    store = None
-    if len(spec) > 5 and spec[5]:
-        from repro.store.cache import ResultStore
-
-        store = ResultStore(spec[5])
-    quotient = spec[6] if len(spec) > 6 else None
-    vector = spec[7] if len(spec) > 7 else None
-    return compute_cell(
-        dynamic, model, knowledge, n, seed, store=store, quotient=quotient,
-        vector=vector,
-    )
-
-
 def _run_cells(
     specs,
-    parallel: Optional[bool],
-    workers: Optional[int],
     store=None,
     quotient: Optional[bool] = None,
     vector: Optional[bool] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[CellResult]:
-    """Run table cells sequentially (one shared plan cache) or fanned
-    across a process pool (each worker keeps its own cache); ``store``
-    short-circuits already-computed cells from disk either way."""
-    from repro.core.engine.batch import parallel_enabled_by_env
-    from repro.core.engine.parallel import parallel_map
-
-    if parallel is None:
-        parallel = parallel_enabled_by_env()
-    if parallel:
-        root = getattr(store, "root", None)
-        return parallel_map(
-            _cell_task, [s + (root, quotient, vector) for s in specs], workers=workers
-        )
+    """Run table cells in spec order on one shared plan cache; ``store``
+    short-circuits already-computed cells from disk, and
+    ``progress(done, total)`` — when given — is invoked after every
+    finished cell."""
     plan_cache = PlanCache()
-    return [
-        compute_cell(
-            dynamic, model, knowledge, n, seed, plan_cache=plan_cache, store=store,
-            quotient=quotient, vector=vector,
+    results = []
+    for done, (dynamic, model, knowledge, n, seed) in enumerate(specs, start=1):
+        results.append(
+            compute_cell(
+                dynamic, model, knowledge, n, seed, plan_cache=plan_cache,
+                store=store, quotient=quotient, vector=vector,
+            )
         )
-        for dynamic, model, knowledge, n, seed in specs
-    ]
+        if progress is not None:
+            progress(done, len(specs))
+    return results
 
 
 def reproduce_table1(
     n: int = 6,
     seed: int = 0,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
     vector: Optional[bool] = None,
 ) -> List[CellResult]:
     """Run all 16 static cells.
 
-    Sequentially (default) the cells share one plan cache, so cells
-    probing the same graph reuse its compiled delivery schedule;
-    ``parallel=True`` fans independent cells across a process pool
-    instead (``workers`` defaults to one per CPU).  ``parallel=None``
-    resolves to the ``REPRO_PARALLEL=1`` environment switch.
+    The cells share one plan cache, so cells probing the same graph
+    reuse its compiled delivery schedule.
 
     ``store`` makes the table durable: pass a
     :class:`repro.store.cache.ResultStore` (or a path) and every cell is
@@ -678,7 +645,7 @@ def reproduce_table1(
     from repro.store.cache import resolve_store
 
     return _run_cells(
-        table_specs(False, n, seed), parallel, workers, store=resolve_store(store),
+        table_specs(False, n, seed), store=resolve_store(store),
         quotient=quotient, vector=vector,
     )
 
@@ -686,21 +653,18 @@ def reproduce_table1(
 def reproduce_table2(
     n: int = 5,
     seed: int = 0,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
     vector: Optional[bool] = None,
 ) -> List[CellResult]:
-    """Run all 12 dynamic cells; same ``parallel``/``store``/``quotient``/
-    ``vector`` contract as :func:`reproduce_table1` (quotient probes fall
-    back to direct execution on dynamic graphs — the knobs are still
-    honored for the static refutation probes and the kernel-backed
-    dynamic probes)."""
+    """Run all 12 dynamic cells; same ``store``/``quotient``/``vector``
+    contract as :func:`reproduce_table1` (quotient probes fall back to
+    direct execution on dynamic graphs — the knobs are still honored for
+    the static refutation probes and the kernel-backed dynamic probes)."""
     from repro.store.cache import resolve_store
 
     return _run_cells(
-        table_specs(True, n, seed), parallel, workers, store=resolve_store(store),
+        table_specs(True, n, seed), store=resolve_store(store),
         quotient=quotient, vector=vector,
     )
 
@@ -709,8 +673,6 @@ def paper_table_document(
     table: int,
     n: Optional[int] = None,
     seed: int = 0,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
     vector: Optional[bool] = None,
@@ -726,12 +688,12 @@ def paper_table_document(
     :func:`cell_to_payload` records, in :func:`table_specs` order — so a
     scenario config, a ``store submit table1`` job, and a direct
     ``reproduce_table1`` call all emit byte-identical documents (engine
-    modes included: quotient/vector/parallel change how cells are
-    computed, never their payloads).
+    modes included: quotient/vector change how cells are computed,
+    never their payloads).
 
-    ``progress(done, total)`` — when given — forces the sequential
-    cell-by-cell path and is invoked after every finished cell; the
-    durable scenario job runner heartbeats its queue lease there.
+    ``progress(done, total)`` — when given — is invoked after every
+    finished cell; the durable scenario job runner heartbeats its queue
+    lease there.
     """
     from repro.store.cache import resolve_store
     from repro.store.jobs import table_document
@@ -741,24 +703,10 @@ def paper_table_document(
     dynamic = table == 2
     if n is None:
         n = 5 if dynamic else 6
-    store = resolve_store(store)
-    specs = table_specs(dynamic, n, seed)
-    if progress is None:
-        results = _run_cells(
-            specs, parallel, workers, store=store, quotient=quotient, vector=vector
-        )
-    else:
-        plan_cache = PlanCache()
-        results = []
-        for done, (dyn, model, knowledge, cell_n, cell_seed) in enumerate(specs, start=1):
-            results.append(
-                compute_cell(
-                    dyn, model, knowledge, cell_n, cell_seed,
-                    plan_cache=plan_cache, store=store, quotient=quotient,
-                    vector=vector,
-                )
-            )
-            progress(done, len(specs))
+    results = _run_cells(
+        table_specs(dynamic, n, seed), store=resolve_store(store),
+        quotient=quotient, vector=vector, progress=progress,
+    )
     return table_document(
         f"table{table}", n, seed, [cell_to_payload(r) for r in results]
     )

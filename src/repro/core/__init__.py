@@ -24,7 +24,6 @@ from repro.core.engine import (
     ENGINE_VERSION,
     BatchJob,
     BatchResult,
-    ExecutionSnapshot,
     MetricsRegistry,
     PlanCache,
     TraceEvent,
@@ -33,10 +32,8 @@ from repro.core.engine import (
     events_from_jsonl,
     events_to_jsonl,
     merged_metrics,
-    parallel_map,
     read_jsonl,
     run_batch,
-    run_batch_parallel,
     trace_execution,
     write_jsonl,
 )
@@ -75,7 +72,6 @@ __all__ = [
     "CommunicationModel",
     "ConvergenceReport",
     "Execution",
-    "ExecutionSnapshot",
     "Knowledge",
     "MemoCache",
     "MetricsRegistry",
@@ -101,11 +97,9 @@ __all__ = [
     "memoized_equitable_partition",
     "memoized_minimum_base",
     "merged_metrics",
-    "parallel_map",
     "publish_memo_metrics",
     "read_jsonl",
     "run_batch",
-    "run_batch_parallel",
     "run_until_asymptotic",
     "run_until_stable",
     "trace_execution",

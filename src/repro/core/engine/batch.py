@@ -18,17 +18,14 @@ Results come back in job order as :class:`BatchResult` records carrying
 the finished execution (observers still attached) and, for the detector
 runners, the :class:`~repro.core.convergence.ConvergenceReport`.
 
-Since the jobs are independent, the whole batch can also fan out across
-a process pool: ``run_batch(jobs, parallel=True)`` delegates to
-:mod:`repro.core.engine.parallel` and returns results that are
-bit-identical to the sequential path (outputs, reports, deterministic
-observer aggregates), merged back in job order.  Setting the
-environment variable ``REPRO_PARALLEL=1`` flips the default, which is
-how CI forces every batch through the parallel backend.
+A batch always runs in the calling process.  Parallelism lives one
+level up: independent jobs submitted to ``store run --pools N`` or
+``serve --pools N`` run side by side in the orchestrator's pools.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Union
 
@@ -88,20 +85,12 @@ class BatchJob:
 
 @dataclass
 class BatchResult:
-    """One finished job: the execution, its outputs, and any report.
-
-    ``execution`` is a live :class:`repro.core.execution.Execution` on
-    the sequential path and an
-    :class:`~repro.core.engine.parallel.ExecutionSnapshot` when the job
-    ran in a pool worker.  ``worker_error`` is ``None`` unless the job's
-    worker crashed or timed out and the job was recovered by the
-    in-parent sequential fallback (the result itself is still valid).
-    """
+    """One finished job: the live
+    :class:`repro.core.execution.Execution`, its outputs, and any report."""
 
     job: BatchJob
-    execution: Any  # repro.core.execution.Execution or ExecutionSnapshot
+    execution: Any  # repro.core.execution.Execution
     report: Any = None  # ConvergenceReport for the detector runners
-    worker_error: Optional[str] = None
 
     @property
     def outputs(self) -> List[Any]:
@@ -191,43 +180,33 @@ def _execute_job(job: BatchJob, cache: PlanCache) -> BatchResult:
             cache.trace_hook = previous_hook
 
 
-def parallel_enabled_by_env() -> bool:
-    """Whether ``REPRO_PARALLEL`` forces the parallel backend on (shared
-    truthy/falsy spellings — see :mod:`repro.envflags`)."""
-    return env_flag("REPRO_PARALLEL", default=False)
-
-
 def run_batch(
     jobs: Sequence[BatchJob],
     plan_cache: Optional[PlanCache] = None,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
-    max_retries: int = 1,
-    job_timeout: Optional[float] = None,
-    chunk_size: Optional[int] = None,
     quotient: Optional[bool] = None,
     vector: Optional[bool] = None,
 ) -> List[BatchResult]:
-    """Run every job, sharing compiled delivery plans across the batch.
+    """Run every job in this process, in job order, sharing compiled
+    delivery plans across the batch.
 
     Pass an explicit ``plan_cache`` to share plans beyond one call — the
     table harness reuses a single cache across all cells of a table.
-
-    ``parallel=True`` fans the jobs across a process pool
-    (:mod:`repro.core.engine.parallel`): ``workers`` picks the pool size
-    (default: one per CPU), ``max_retries`` and ``job_timeout`` set the
-    crash/timeout recovery policy, and ``chunk_size`` overrides how many
-    jobs ride in one worker task.  Results are bit-identical to the
-    sequential path and come back in job order either way.  The default
-    ``parallel=None`` resolves to the ``REPRO_PARALLEL=1`` environment
-    switch (off otherwise).
 
     ``quotient`` (``True``/``False``) overrides the quotient-execution
     default for every job that did not set its own ``BatchJob.quotient``;
     ``None`` leaves the per-job settings (and thus the ``REPRO_QUOTIENT``
     environment default) in force.  ``vector`` does the same for the
     vectorized backend and ``BatchJob.vector`` / ``REPRO_VECTOR``.
+
+    ``REPRO_PARALLEL`` selects nothing; a truthy value warns.
     """
+    if env_flag("REPRO_PARALLEL"):
+        warnings.warn(
+            "REPRO_PARALLEL no longer selects anything: batches run in this "
+            "process; run independent jobs side by side with "
+            "`store run --pools N` or `serve --pools N`",
+            UserWarning,
+        )
     if quotient is not None or vector is not None:
         from dataclasses import replace
 
@@ -240,18 +219,5 @@ def run_batch(
             return replace(job, **overrides) if overrides else job
 
         jobs = [_overridden(job) for job in jobs]
-    if parallel is None:
-        parallel = parallel_enabled_by_env()
-    if parallel:
-        from repro.core.engine.parallel import run_batch_parallel
-
-        return run_batch_parallel(
-            jobs,
-            plan_cache=plan_cache,
-            workers=workers,
-            max_retries=max_retries,
-            job_timeout=job_timeout,
-            chunk_size=chunk_size,
-        )
     cache = plan_cache if plan_cache is not None else PlanCache()
     return [_execute_job(job, cache) for job in jobs]

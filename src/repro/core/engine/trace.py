@@ -9,8 +9,7 @@ an auditable stream without perturbing it:
   ``plan_compile``, ``span``, ``manifest``, ``summary``);
 * :class:`MetricsRegistry` — named :class:`Counter`/:class:`Gauge`/
   :class:`Histogram` aggregates with a deterministic job-order
-  :meth:`~MetricsRegistry.merge`, matching the parallel backend's
-  bit-identity contract;
+  :meth:`~MetricsRegistry.merge`;
 * :class:`Tracer` — a :class:`~repro.core.engine.instrumentation.RoundObserver`
   that also hooks :class:`~repro.core.engine.plan.PlanCache` compiles,
   emitting per-round messages delivered, payload units charged (the
@@ -31,9 +30,8 @@ observes.  Two guarantees back that up:
 2. *Bit-identity when on.*  A :class:`Tracer` only reads the record; it
    draws nothing from the execution's scramble RNG and mutates no state,
    so outputs, reports, and the scramble schedule are bit-identical with
-   tracing on or off, sequentially or under ``parallel=True`` (the
-   hypothesis suite in ``tests/property/test_trace_properties.py`` pins
-   this).  Wall-clock fields (any metric or event field named
+   tracing on or off (the hypothesis suite in
+   ``tests/property/test_trace_properties.py`` pins this).  Wall-clock fields (any metric or event field named
    ``*_seconds``) are *environmental*: they ride along but are excluded
    from every identity comparison, which is what
    :meth:`Tracer.deterministic_rounds` and
@@ -222,9 +220,8 @@ class MetricsRegistry:
 
     ``merge`` folds another registry in (counters add, gauges last-write-
     win, histogram moments combine); folding per-job registries **in job
-    order** yields the same aggregate whether the jobs ran sequentially or
-    across a process pool — the registry-level face of PR2's bit-identity
-    contract.  Metrics whose name ends in ``_seconds`` are wall-clock
+    order** yields the same aggregate on every run.  Metrics whose name
+    ends in ``_seconds`` are wall-clock
     (environmental) and are dropped by ``as_dict(deterministic_only=True)``.
     """
 
@@ -334,9 +331,8 @@ class Tracer:
     Attach with ``execution.attach(tracer)`` (or let
     :func:`trace_execution` / the batch runner do it); additionally call
     :meth:`watch_cache` to count plan-cache hits and time compiles.  The
-    tracer holds a plain ``__dict__`` on purpose: the parallel backend's
-    observer adoption ships its recordings back from pool workers exactly
-    like any other observer (the ring buffer pickles along).
+    tracer holds a plain ``__dict__`` (no ``__slots__``), so it pickles
+    and copies like any other observer (the ring buffer pickles along).
 
     Round events are **not** stored as Python objects: each observed
     round writes one fixed-width record into a preallocated numpy ring
@@ -673,8 +669,7 @@ def merged_metrics(results_or_tracers: Iterable[Any]) -> MetricsRegistry:
 
     Accepts tracers directly, or :class:`~repro.core.engine.batch.BatchResult`
     records (whose jobs' tracer observers are harvested) — the job-order
-    fold makes the aggregate identical between the sequential and parallel
-    backends.
+    fold makes the aggregate deterministic.
     """
     merged = MetricsRegistry()
     for item in results_or_tracers:

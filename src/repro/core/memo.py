@@ -50,9 +50,9 @@ Invariants:
   ``tests/property/test_partition_refinement.py`` pins this for whole
   table documents).
 * **Per-process caches.**  Nothing here crosses process boundaries: each
-  pool worker of the parallel backend grows its own caches (fork may
-  duplicate warm parent caches — that is a harmless head start, not a
-  channel).  Hit/miss *counters* are therefore per-process too.
+  orchestrator pool child grows its own caches (fork may duplicate warm
+  parent caches — that is a harmless head start, not a channel).
+  Hit/miss *counters* are therefore per-process too.
 * **Observable.**  :func:`memo_stats` snapshots every cache's counters;
   :func:`publish_memo_metrics` folds them into a PR-3
   ``MetricsRegistry`` (counters ``memo_<cache>_hits`` / ``_misses``),

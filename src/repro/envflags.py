@@ -1,11 +1,11 @@
 """One parser for every ``REPRO_*`` boolean environment switch.
 
-The engine grew its feature flags one at a time — ``REPRO_PARALLEL``,
-``REPRO_MEMO``, ``REPRO_QUOTIENT``, now ``REPRO_VECTOR`` — and each site
-initially parsed the variable by hand, which is how ``REPRO_PARALLEL=0``
-came to *enable* nothing while ``REPRO_MEMO=0`` *disabled* something and
-``REPRO_QUOTIENT=false`` silently meant "off" only because it wasn't the
-literal ``"1"``.  :func:`env_flag` is the single shared reading:
+The engine grew its feature flags one at a time — ``REPRO_MEMO``,
+``REPRO_QUOTIENT``, ``REPRO_VECTOR`` — and each site initially parsed
+the variable by hand, which is how ``REPRO_MEMO=0`` *disabled*
+something while ``REPRO_QUOTIENT=false`` silently meant "off" only
+because it wasn't the literal ``"1"``.  :func:`env_flag` is the single
+shared reading:
 
 * the **falsy spellings** ``0``, ``false``, ``no``, ``off`` and the empty
   string always disable, whatever the flag's default;

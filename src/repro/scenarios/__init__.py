@@ -5,7 +5,7 @@ document names a workload (one of the paper's tables, or a grid of graph
 families × sizes × seeds × probes under one communication model), a
 validating loader normalizes it into a :class:`~repro.scenarios.schema.Scenario`,
 and the runner compiles it onto the existing engine — ``BatchJob`` /
-``run_batch``, the plan cache, the quotient/vector/parallel backends,
+``run_batch``, the plan cache, the quotient/vector backends,
 and the PR-5 durable store.
 
 Entry points::

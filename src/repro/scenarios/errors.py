@@ -27,7 +27,7 @@ class ScenarioSchemaError(ScenarioError):
     """The parsed config violates the scenario schema.
 
     ``key`` names the offending config key (dotted / indexed for nested
-    locations, e.g. ``"engine.workers"`` or ``"graphs[1].sizes"``;
+    locations, e.g. ``"engine.quotient"`` or ``"graphs[1].sizes"``;
     ``"<root>"`` when the document as a whole is the problem).
     """
 

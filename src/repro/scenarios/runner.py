@@ -7,11 +7,10 @@ durable table jobs — the golden-config tests pin exactly that.
 
 A ``"grid"`` scenario compiles each (graph family × size × seed × probe)
 unit to one :class:`~repro.core.engine.batch.BatchJob` driven by the δ0
-detector.  Sequentially the grid shares one
+detector.  The grid shares one
 :class:`~repro.core.engine.plan.PlanCache`, one graph per distinct
-network and one run per distinct network, input vector and probe;
-otherwise units fan out over the process pool when the config (or
-``REPRO_PARALLEL``) asks for it.  Rows are served from the durable
+network and one run per distinct network, input vector and probe.
+Rows are served from the durable
 :class:`~repro.store.cache.ResultStore` when one is configured — row
 keys bind the unit parameters, the engine generation and
 :data:`~repro.scenarios.registry.SCENARIO_VERSION`, never the engine
@@ -202,23 +201,6 @@ def compute_grid_row(
     )
 
 
-def _grid_task(spec) -> Dict[str, Any]:
-    """One grid row from a picklable spec — the unit the pool fans out.
-    Mirrors :func:`repro.analysis.tables._cell_task`: workers open the
-    same on-disk store by root (atomic writes make concurrent fills
-    safe) and keep their own plan caches."""
-    scenario, family, n, seed, probe, store_root, quotient, vector = spec
-    store = None
-    if store_root:
-        from repro.store.cache import ResultStore
-
-        store = ResultStore(store_root)
-    return compute_grid_row(
-        scenario, family, n, seed, probe, store=store, quotient=quotient,
-        vector=vector,
-    )
-
-
 def scenario_document(scenario: Scenario, rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Assemble the deterministic document of one grid scenario — same
     discipline as :func:`repro.store.jobs.table_document`: a pure
@@ -250,15 +232,13 @@ def run_scenario(
     ``store`` follows the harness convention (``None`` defers to
     ``REPRO_STORE``; a path or :class:`~repro.store.cache.ResultStore`
     makes units durable).  ``progress(done, total)`` is called after each
-    finished unit on the sequential path — the durable scenario job
-    heartbeats its lease there (it forces sequential execution, exactly
-    like the table jobs).  ``on_trace`` forwards each computed grid
-    unit's round-level tracer snapshots (see :func:`compute_grid_row`);
-    like ``progress`` it forces the sequential path, and it is ignored
-    for table scenarios (their cells ride the table machinery, which
-    reports unit progress only).
+    finished unit — the durable scenario job heartbeats its lease there.
+    ``on_trace`` forwards each computed grid unit's round-level tracer
+    snapshots (see :func:`compute_grid_row`); it is ignored for table
+    scenarios (their cells ride the table machinery, which reports unit
+    progress only).
 
-    The sequential path builds each distinct network once per call —
+    A grid run builds each distinct network once per call —
     keyed by family and size, plus the seed for families that read it —
     so every later unit on it reuses the graph, its compiled plan and
     CSR, and its fingerprint.  It also runs each distinct (network,
@@ -278,8 +258,6 @@ def run_scenario(
             scenario.table,
             n=scenario.n,
             seed=scenario.seed,
-            parallel=engine.parallel,
-            workers=engine.workers,
             store=store,
             quotient=engine.quotient,
             vector=engine.vector,
@@ -287,37 +265,19 @@ def run_scenario(
         )
 
     units = grid_units(scenario)
-    parallel = engine.parallel
-    if parallel is None:
-        from repro.core.engine.batch import parallel_enabled_by_env
-
-        parallel = parallel_enabled_by_env()
-    if parallel and progress is None and on_trace is None:
-        from repro.core.engine.parallel import parallel_map
-
-        root = getattr(store, "root", None)
-        rows = parallel_map(
-            _grid_task,
-            [
-                (scenario, family, n, seed, probe, root, engine.quotient, engine.vector)
-                for family, n, seed, probe in units
-            ],
-            workers=engine.workers,
-        )
-    else:
-        plan_cache = PlanCache()
-        memo: Dict[Tuple[Any, ...], Any] = {}
-        rows = []
-        for done, (family, n, seed, probe) in enumerate(units, start=1):
-            rows.append(
-                compute_grid_row(
-                    scenario, family, n, seed, probe, plan_cache=plan_cache,
-                    store=store, quotient=engine.quotient, vector=engine.vector,
-                    on_trace=on_trace, memo=memo,
-                )
+    plan_cache = PlanCache()
+    memo: Dict[Tuple[Any, ...], Any] = {}
+    rows = []
+    for done, (family, n, seed, probe) in enumerate(units, start=1):
+        rows.append(
+            compute_grid_row(
+                scenario, family, n, seed, probe, plan_cache=plan_cache,
+                store=store, quotient=engine.quotient, vector=engine.vector,
+                on_trace=on_trace, memo=memo,
             )
-            if progress is not None:
-                progress(done, len(units))
+        )
+        if progress is not None:
+            progress(done, len(units))
     return scenario_document(scenario, rows)
 
 

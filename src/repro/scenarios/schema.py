@@ -12,8 +12,8 @@ workload.  Two kinds exist:
   optional ``knowledge`` (centralized-help level, recorded in the
   document) and ``output.title``.
 
-Both kinds take an optional ``engine`` block (``parallel`` / ``workers``
-/ ``quotient`` / ``vector``) selecting *how* the scenario runs, never
+Both kinds take an optional ``engine`` block (``quotient`` /
+``vector``) selecting *how* the scenario runs, never
 what it computes: engine flags are excluded from :meth:`Scenario.identity`
 — and hence from store keys and emitted documents — so every engine mode
 produces byte-identical output.
@@ -39,24 +39,22 @@ _TABLE_KEYS = frozenset({"table", "n", "seed"})
 _GRID_KEYS = frozenset(
     {"model", "knowledge", "rounds", "seeds", "graphs", "probes", "inputs"}
 )
-_ENGINE_KEYS = frozenset({"parallel", "workers", "quotient", "vector"})
+_ENGINE_KEYS = frozenset({"quotient", "vector"})
 _OUTPUT_KEYS = frozenset({"title"})
 
 
 @dataclass(frozen=True)
 class EngineFlags:
     """How a scenario executes.  ``None`` defers to the environment
-    defaults (``REPRO_PARALLEL`` / ``REPRO_QUOTIENT`` / ``REPRO_VECTOR``),
-    exactly like the harness entry points."""
+    defaults (``REPRO_QUOTIENT`` / ``REPRO_VECTOR``), exactly like the
+    harness entry points."""
 
-    parallel: Optional[bool] = None
-    workers: Optional[int] = None
     quotient: Optional[bool] = None
     vector: Optional[bool] = None
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
-        for name in ("parallel", "workers", "quotient", "vector"):
+        for name in ("quotient", "vector"):
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -97,8 +95,8 @@ class Scenario:
         """The canonical parameter dict — everything that determines the
         scenario's *results*, nothing that only picks an engine mode.
         This is what store keys and emitted documents are built from, so
-        object, vector-fallback, quotient, and parallel runs of the same
-        config share one cache and one byte-exact document."""
+        object, vector-fallback and quotient runs of the same config
+        share one cache and one byte-exact document."""
         if self.kind == "table":
             return {
                 "kind": "table",
@@ -178,26 +176,18 @@ def _validate_engine(raw: Any, source) -> EngineFlags:
                 f"unknown engine flag; known flags: {', '.join(sorted(_ENGINE_KEYS))}",
             )
     flags: Dict[str, Any] = {}
-    for name in ("parallel", "quotient", "vector"):
+    for name in ("quotient", "vector"):
         if name in raw:
             value = raw[name]
             if not isinstance(value, bool):
                 _fail(source, f"engine.{name}", f"expected true or false, got {value!r}")
             flags[name] = value
-    if "workers" in raw and raw["workers"] is not None:
-        flags["workers"] = _int_in(source, "engine.workers", raw["workers"], 1)
     if flags.get("quotient") and flags.get("vector"):
         _fail(
             source,
             "engine",
             "engine.quotient and engine.vector cannot both be forced on — "
             "a quotient-active run already simulates only the base; pick one",
-        )
-    if flags.get("workers") is not None and flags.get("parallel") is False:
-        _fail(
-            source,
-            "engine.workers",
-            "engine.workers only applies when engine.parallel is not false",
         )
     return EngineFlags(**flags)
 

@@ -39,7 +39,6 @@ _EXPORTS = {
     "Checkpointer": "repro.store.snapshot",
     "encode_states": "repro.store.snapshot",
     "decode_states": "repro.store.snapshot",
-    "copy_states": "repro.store.snapshot",
     "snapshot_execution": "repro.store.snapshot",
     "restore_execution": "repro.store.snapshot",
     "resume_execution": "repro.store.snapshot",

@@ -186,7 +186,6 @@ def _run_certificate_job(queue: JobQueue, store: ResultStore, record: JobRecord)
     doc = reproduction_certificate(
         n=n,
         seed=seed,
-        parallel=False,
         store=store,
         quotient=record.params.get("quotient"),
         vector=record.params.get("vector"),
@@ -265,8 +264,8 @@ def _run_scenario_job(queue: JobQueue, store: ResultStore, record: JobRecord) ->
                 if log.append(record.id, "trace", {**unit, **snapshot}) is None:
                     return  # per-job event cap reached: drop the tail
 
-    # A progress callback forces the sequential path, so the lease stays
-    # heartbeaten between units — same discipline as the table jobs.
+    # The progress callback heartbeats the lease between units — same
+    # discipline as the table jobs.
     doc = run_scenario(scenario, store=store, progress=progress, on_trace=on_trace)
     # The document key binds the scenario's identity (engine flags
     # excluded), so accelerated and direct submissions land on one entry.

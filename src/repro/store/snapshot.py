@@ -9,8 +9,7 @@ JSON-enveloped record such that *resuming is invisible*: running to round
 schedule, trace digests — to running to round ``k``, snapshotting,
 restoring (even in another process), and running on to ``T``.  The
 property suite in ``tests/store/test_snapshot_properties.py`` pins this
-across all four communication models, static and dynamic networks, and
-the process-parallel backend.
+across all four communication models and static and dynamic networks.
 
 Layout of the envelope (JSON-safe, deterministically serialized by
 :meth:`Snapshot.to_bytes` with sorted keys):
@@ -19,8 +18,8 @@ Layout of the envelope (JSON-safe, deterministically serialized by
 * position — ``round_number``, ``rng_state`` (the full Mersenne-Twister
   state of the scramble stream, or ``None`` when scrambling is off);
 * state — ``states_blob`` (base64 pickle of the local-state vector; the
-  one audited deep-serialization path, shared with the parallel backend's
-  worker state capture via :func:`encode_states`/:func:`decode_states`),
+  one audited deep-serialization path, :func:`encode_states` /
+  :func:`decode_states`),
   ``blob_sha256`` (integrity of the bytes), ``states_digest`` (the
   canonical :func:`~repro.core.engine.instrumentation.state_digest`,
   integrity of the *meaning* — two processes with different hash seeds
@@ -76,8 +75,8 @@ class SnapshotIntegrityError(SnapshotError):
 
 def encode_states(states: List[Any]) -> bytes:
     """Serialize a local-state vector — the single audited deep-copy /
-    cross-process path for agent states (the parallel backend's worker
-    capture and every checkpoint go through here)."""
+    cross-process path for agent states (every checkpoint goes through
+    here)."""
     return pickle.dumps(list(states), protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -89,11 +88,6 @@ def decode_states(blob: bytes) -> List[Any]:
             f"decoded state vector is a {type(states).__name__}, not a list"
         )
     return states
-
-
-def copy_states(states: List[Any]) -> List[Any]:
-    """A deep, detached copy of a state vector via the audited codec."""
-    return decode_states(encode_states(states))
 
 
 # ---------------------------------------------------------------------- #

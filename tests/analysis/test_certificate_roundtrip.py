@@ -23,12 +23,7 @@ from repro.analysis.impossibility import (
     outputs_match,
     verify_counterexample,
 )
-from repro.analysis.provenance import (
-    Manifest,
-    current_backend,
-    graph_fingerprint,
-    network_fingerprint,
-)
+from repro.analysis.provenance import Manifest, graph_fingerprint, network_fingerprint
 from repro.core.engine import ENGINE_VERSION
 from repro.dynamics.generators import random_dynamic_strongly_connected
 from repro.graphs.builders import bidirectional_ring, random_strongly_connected
@@ -57,14 +52,15 @@ class TestCertificateRoundTrip:
                 assert manifest["engine_version"] == ENGINE_VERSION
                 assert manifest["graph_hash"]
                 assert manifest["kind"] in ("table1-cell", "table2-cell")
-                # Cell manifests are backend-free by design (bit-identical
-                # across sequential/parallel); the document records the backend.
+                # Cell manifests are backend-free by design; the document
+                # records the backend.
                 assert manifest["backend"] is None
 
     def test_document_manifest_records_backend(self, certificate_doc):
         top = certificate_doc["manifest"]
         assert top["kind"] == "certificate"
-        assert top["backend"] in ("sequential", "parallel")
+        assert top["backend"] == "sequential"
+        assert top["extra"] == {}
         assert top["seed"] == certificate_doc["parameters"]["seed"]
 
     def test_parse_rejects_non_object(self):
@@ -134,11 +130,20 @@ class TestVerifyCatchesTampering:
 
 
 class TestCertificateBackendParameter:
-    def test_explicit_parallel_recorded(self):
-        doc = reproduction_certificate(n=4, seed=0, parallel=True, workers=2)
-        assert doc["manifest"]["backend"] == "parallel"
-        assert doc["manifest"]["extra"] == {"workers": 2}
+    def test_earlier_parallel_backend_still_verifies(self, certificate_doc):
+        # Certificates written before the in-job pool was removed may
+        # record "parallel"; they are outside input and stay verifiable.
+        doc = tampered(
+            certificate_doc,
+            lambda d: d["manifest"].update(backend="parallel", extra={"workers": 2}),
+        )
         assert verify_certificate(doc) == []
+
+    def test_removed_pool_keywords_are_type_errors(self):
+        with pytest.raises(TypeError):
+            reproduction_certificate(n=4, seed=0, parallel=True)
+        with pytest.raises(TypeError):
+            certificate_json(n=4, seed=0, workers=2)
 
 
 class TestCounterexampleRoundTrip:
@@ -223,9 +228,3 @@ class TestManifestRoundTrip:
         assert network_fingerprint(bidirectional_ring(4)) == graph_fingerprint(
             bidirectional_ring(4)
         )
-
-    def test_current_backend_is_sequential_here(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        assert current_backend() == "sequential"
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
-        assert current_backend() == "parallel"

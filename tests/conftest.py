@@ -16,9 +16,7 @@ settings.register_profile("repro", deadline=None)
 # identically on a developer machine, so the shared CI profile also
 # derandomizes hypothesis' example search.
 settings.register_profile("repro-ci", deadline=None, derandomize=True)
-settings.load_profile(
-    "repro-ci" if os.environ.get("CI") or os.environ.get("REPRO_PARALLEL") else "repro"
-)
+settings.load_profile("repro-ci" if os.environ.get("CI") else "repro")
 
 from repro.graphs.builders import (
     bidirectional_ring,

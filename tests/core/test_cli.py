@@ -1,6 +1,5 @@
 """Tests for the ``python -m repro`` entry point."""
 
-import json
 import subprocess
 import sys
 
@@ -35,7 +34,7 @@ class TestTraceSubcommand:
         assert manifest["kind"] == "trace"
         assert manifest["n"] == 5 and manifest["rounds"] == 6
         assert manifest["graph_hash"]
-        assert manifest["backend"] in ("sequential", "parallel")
+        assert manifest["backend"] == "sequential"
         rounds = [e for e in events if e.kind == "round"]
         assert [e.round for e in rounds] == [1, 2, 3, 4, 5, 6]
         assert events[-1].kind == "summary"
@@ -92,15 +91,16 @@ class TestTraceSubcommand:
 
 
 class TestParallelFlag:
-    def test_table1_parallel_workers(self, capsys):
-        assert main(["--table", "1", "--n", "5", "--parallel", "--workers", "2"]) == 0
-        assert "every cell agrees" in capsys.readouterr().out
+    """The retired in-job pool flags are argparse usage errors."""
 
-    def test_json_certificate_records_parallel_backend(self, capsys):
-        assert main(["--json", "--n", "4", "--parallel", "--workers", "2"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["manifest"]["backend"] == "parallel"
-        assert doc["manifest"]["extra"] == {"workers": 2}
+    @pytest.mark.parametrize(
+        "argv", [["--parallel"], ["--workers", "2"]], ids=["parallel", "workers"]
+    )
+    def test_retired_flag_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv) in capsys.readouterr().err
 
 
 @pytest.mark.slow

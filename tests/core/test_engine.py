@@ -149,9 +149,7 @@ class TestBatchRunner:
             BatchJob(GossipAlgorithm(), g, inputs=[1, 2, 3, 4, 5], runner="rounds", rounds=4)
             for _ in range(3)
         ]
-        # parallel=False: this asserts on the *shared* cache, which pool
-        # workers deliberately do not touch (they keep their own).
-        results = run_batch(jobs, plan_cache=cache, parallel=False)
+        results = run_batch(jobs, plan_cache=cache)
         assert len(results) == 3
         assert cache.misses == 1  # one graph, one plan, twelve rounds
 

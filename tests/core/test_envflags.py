@@ -1,15 +1,16 @@
 """The shared environment-flag parser — one truth table for every knob.
 
 Before :mod:`repro.envflags`, each subsystem parsed its switch its own
-way: ``REPRO_PARALLEL`` accepted only the literal ``"1"``, ``REPRO_MEMO``
-disabled only on the literal ``"0"``, so ``REPRO_PARALLEL=true`` silently
-stayed sequential and ``REPRO_MEMO=false`` silently stayed memoized.
-These tests pin the shared truth table — every documented disable
-spelling (``=0``, ``=false``, empty string, ``no``, ``off``) actually
-disables, every enable spelling enables, and unrecognized values keep
-each flag's documented default — across all four flag consumers plus the
+way: ``REPRO_MEMO`` disabled only on the literal ``"0"``, so
+``REPRO_MEMO=false`` silently stayed memoized.  These tests pin the
+shared truth table — every documented disable spelling (``=0``,
+``=false``, empty string, ``no``, ``off``) actually disables, every
+enable spelling enables, and unrecognized values keep each flag's
+documented default — across every flag consumer plus the
 ``REPRO_STORE`` path variable.
 """
+
+import warnings
 
 import pytest
 
@@ -34,7 +35,7 @@ class TestParseFlag:
     @pytest.mark.parametrize("raw", [None, "2", "maybe", "enabled"])
     def test_unset_or_unrecognized_keeps_default(self, raw):
         # "2" kept its historical meaning on both sides of the default:
-        # REPRO_PARALLEL=2 never enabled, REPRO_MEMO=2 never disabled.
+        # REPRO_QUOTIENT=2 never enabled, REPRO_MEMO=2 never disabled.
         assert parse_flag(raw, default=True) is True
         assert parse_flag(raw, default=False) is False
 
@@ -152,22 +153,30 @@ class TestSchedulerTimingKnobs:
         assert orch.heartbeat_interval == 0.2
 
 
+def _run_tiny_batch():
+    from repro.algorithms import GossipAlgorithm
+    from repro.core.engine import BatchJob, run_batch
+    from repro.graphs.builders import bidirectional_ring
+
+    run_batch([BatchJob(GossipAlgorithm(max), bidirectional_ring(3), inputs=[1, 2, 3], rounds=1)])
+
+
 class TestConsumers:
-    """The four flag consumers all route through the shared parser."""
+    """The flag consumers all route through the shared parser."""
 
     @pytest.mark.parametrize("raw", ["0", "false", ""])
     def test_parallel_disable_spellings(self, monkeypatch, raw):
-        from repro.core.engine.batch import parallel_enabled_by_env
-
+        # REPRO_PARALLEL selects nothing; its falsy spellings stay silent.
         monkeypatch.setenv("REPRO_PARALLEL", raw)
-        assert parallel_enabled_by_env() is False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _run_tiny_batch()
 
     def test_parallel_enable_spellings(self, monkeypatch):
-        from repro.core.engine.batch import parallel_enabled_by_env
-
         for raw in ("1", "true", "yes"):
             monkeypatch.setenv("REPRO_PARALLEL", raw)
-            assert parallel_enabled_by_env() is True
+            with pytest.warns(UserWarning, match="REPRO_PARALLEL no longer selects"):
+                _run_tiny_batch()
 
     @pytest.mark.parametrize("raw", ["0", "false", ""])
     def test_memo_disable_spellings(self, monkeypatch, raw):

@@ -229,8 +229,7 @@ class TestSumRefutationMemo:
 
         from repro.analysis import tables
 
-        for flag in ("REPRO_PARALLEL", "REPRO_STORE"):
-            monkeypatch.delenv(flag, raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setenv("REPRO_MEMO", "1" if memo else "0")
         computed = collections.Counter()
         real = tables.demonstrate_collapse

@@ -354,7 +354,7 @@ class TestEqualButDifferentlySpelled:
         # and probe (28 for the 48 rows); unit by unit, every row runs.
         from repro.scenarios import compute_grid_row, grid_units, load_scenario, run_scenario
 
-        for flag in ("REPRO_PARALLEL", "REPRO_QUOTIENT", "REPRO_STORE"):
+        for flag in ("REPRO_QUOTIENT", "REPRO_STORE"):
             monkeypatch.delenv(flag, raising=False)
         monkeypatch.setenv("REPRO_VECTOR", "1")
         root = os.path.join(os.path.dirname(__file__), "..", "..", "configs")

@@ -17,8 +17,8 @@ audience" axis.  These properties pin its engine contract:
 * anything outside {0, 1} on the wire is rejected, identically, by the
   engine and the reference interpreter.
 
-``REPRO_VECTOR`` / ``REPRO_PARALLEL`` reruns of this file in CI exercise
-the same assertions through the engine's other defaults.
+The ``REPRO_VECTOR=1`` rerun of this file in CI exercises the same
+assertions through the engine's other default.
 """
 
 import pytest
@@ -197,12 +197,9 @@ class TestBackendFallbacks:
                 ),
             ]
 
-        base = [r.outputs for r in run_batch(jobs(), parallel=False)]
+        base = [r.outputs for r in run_batch(jobs())]
         assert [r.outputs for r in run_batch(jobs(), vector=True)] == base
         assert [r.outputs for r in run_batch(jobs(), quotient=True)] == base
-        assert [
-            r.outputs for r in run_batch(jobs(), parallel=True, workers=2)
-        ] == base
 
 
 # ---------------------------------------------------------------------- #

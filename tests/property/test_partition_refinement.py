@@ -6,15 +6,13 @@ Two families of guarantees:
   partition of the retained naive reference, its canonical labels are
   invariant under vertex relabeling, and its output quotients cleanly;
 * memoization is invisible: whole Table-1/2 documents serialize to the
-  same bytes with the memo layer on or off, sequentially and under the
-  process-parallel backend.
+  same bytes with the memo layer on or off.
 """
 
 import json
 import os
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,28 +117,17 @@ class TestMemoizedDocumentsByteIdentical:
     @given(st.integers(min_value=0, max_value=1))
     def test_table1_sequential(self, seed):
         clear_memos()
-        memoized = _document_bytes(reproduce_table1(n=4, seed=seed, parallel=False))
+        memoized = _document_bytes(reproduce_table1(n=4, seed=seed))
         with memo_disabled():
-            plain = _document_bytes(reproduce_table1(n=4, seed=seed, parallel=False))
+            plain = _document_bytes(reproduce_table1(n=4, seed=seed))
         assert memoized == plain
 
     def test_table2_sequential(self):
         clear_memos()
-        memoized = _document_bytes(reproduce_table2(n=4, seed=0, parallel=False))
+        memoized = _document_bytes(reproduce_table2(n=4, seed=0))
         with memo_disabled():
-            plain = _document_bytes(reproduce_table2(n=4, seed=0, parallel=False))
+            plain = _document_bytes(reproduce_table2(n=4, seed=0))
         assert memoized == plain
-
-    @pytest.mark.slow
-    def test_table1_parallel_env(self, monkeypatch):
-        """REPRO_PARALLEL=1 (each pool worker grows its own caches) must
-        produce the same bytes as the unmemoized sequential baseline."""
-        clear_memos()
-        with memo_disabled():
-            baseline = _document_bytes(reproduce_table1(n=4, seed=0, parallel=False))
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
-        memoized = _document_bytes(reproduce_table1(n=4, seed=0, parallel=None, workers=2))
-        assert memoized == baseline
 
     def test_env_switch_disables_memo(self, monkeypatch):
         monkeypatch.setenv("REPRO_MEMO", "0")

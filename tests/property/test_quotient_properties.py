@@ -7,11 +7,10 @@ pin the contract:
 * **Bit-identity.**  On graphs where the quotient activates, the lifted
   trajectory equals the direct trajectory round for round — states,
   outputs, round numbers — across all four communication models, traced
-  and untraced, and through ``run_batch`` (which CI reruns under
-  ``REPRO_PARALLEL=1``).  The algorithms used are order-invariant and
-  exact on purpose: the base's delivery-scramble stream is a different
-  stream than the full graph's, and the lemma only promises identity up
-  to inbox order.
+  and untraced, and through ``run_batch``.  The algorithms used are
+  order-invariant and exact on purpose: the base's delivery-scramble
+  stream is a different stream than the full graph's, and the lemma only
+  promises identity up to inbox order.
 * **Fallback.**  Asymmetric random graphs (trivial base), dynamic
   networks, the ``OUTPUT_PORT_AWARE`` model, and fibrations that do not
   preserve outdegrees all fall back to direct execution — same
@@ -396,8 +395,7 @@ class TestCounters:
 
 
 class TestBatchAndParallel:
-    """run_batch(quotient=True) equals run_batch(quotient=False); under
-    REPRO_PARALLEL=1 (CI) the same assertion exercises the pool path."""
+    """run_batch(quotient=True) equals run_batch(quotient=False)."""
 
     def test_run_batch_quotient_matches_direct(self):
         from repro.core.engine.batch import BatchJob, run_batch
@@ -430,7 +428,7 @@ class TestBatchAndParallel:
             rounds=2,
             quotient=False,
         )
-        [result] = run_batch([job], quotient=True, parallel=False)
+        [result] = run_batch([job], quotient=True)
         assert not getattr(result.execution, "quotient_active", False)
 
     def test_bandwidth_sweep_quotient_curves_equal(self):

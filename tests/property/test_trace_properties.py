@@ -6,9 +6,9 @@ Two families of properties:
    :class:`~repro.core.engine.trace.Tracer` attached takes exactly the
    trajectory of its untraced twin — same states, outputs, convergence
    reports, and scramble schedule — in all four communication models, on
-   static and dynamic networks, sequentially and across the process
-   pool.  Order-sensitive recording algorithms are used so any extra RNG
-   draw or delivery-order change is fatal, not forgiven.
+   static and dynamic networks, alone and in batches.  Order-sensitive
+   recording algorithms are used so any extra RNG draw or delivery-order
+   change is fatal, not forgiven.
 
 2. **Byte-accounting agreement.**  The tracer charges delivered payloads
    with :func:`repro.analysis.bandwidth.payload_units` from the *inbox*
@@ -140,33 +140,33 @@ def _record_jobs(n, seed):
     return jobs
 
 
-class TestTracingIsInvisibleParallel:
+class TestTracingIsInvisibleInBatches:
     @settings(max_examples=5, deadline=None)
     @given(
         st.integers(min_value=3, max_value=6),
         st.integers(min_value=0, max_value=1_000),
     )
-    def test_parallel_traced_matches_sequential_untraced(self, n, seed):
+    def test_traced_batch_matches_untraced(self, n, seed):
         untraced = run_batch(_record_jobs(n, seed))
 
         jobs = _record_jobs(n, seed)
         tracers = attach_tracers(jobs)
-        traced = run_batch(jobs, parallel=True, workers=2)
+        traced = run_batch(jobs)
 
         for plain, result in zip(untraced, traced):
             assert plain.outputs == result.outputs
-        # The shipped-back tracers recorded ROUNDS rounds per job…
+        # The tracers recorded ROUNDS rounds per job…
         for tracer in tracers:
             assert len(tracer.deterministic_rounds()) == ROUNDS
-        # …and their deterministic projections match a sequential re-run.
-        jobs_seq = _record_jobs(n, seed)
-        tracers_seq = attach_tracers(jobs_seq)
-        run_batch(jobs_seq)
+        # …and their deterministic projections match a re-run.
+        jobs_again = _record_jobs(n, seed)
+        tracers_again = attach_tracers(jobs_again)
+        run_batch(jobs_again)
         assert [t.deterministic_rounds() for t in tracers] == [
-            t.deterministic_rounds() for t in tracers_seq
+            t.deterministic_rounds() for t in tracers_again
         ]
         assert merged_metrics(tracers).as_dict(deterministic_only=True) == (
-            merged_metrics(tracers_seq).as_dict(deterministic_only=True)
+            merged_metrics(tracers_again).as_dict(deterministic_only=True)
         )
 
 

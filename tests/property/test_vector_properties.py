@@ -3,7 +3,7 @@
 :class:`~repro.core.engine.vector.VectorExecution` runs whole rounds as
 numpy gather/scatter kernels.  These properties pin its contract against
 the object engine across all four communication models, static and
-dynamic networks, traced and untraced runs, and both batch backends:
+dynamic networks, traced and untraced runs, and the batch runner:
 
 * **Exact kernels** (gossip's boolean OR-flooding, the custom port-aware
   kernel below) must reproduce the object trajectory *bit for bit* —
@@ -20,8 +20,7 @@ dynamic networks, traced and untraced runs, and both batch backends:
   never perturb an interleaved object execution.
 
 ``REPRO_VECTOR=0`` and ``=1`` runs of this file exercise both defaults
-through ``run_batch``; CI additionally reruns it under
-``REPRO_PARALLEL=1``.
+through ``run_batch``.
 """
 
 import numpy as np
@@ -288,7 +287,7 @@ class TestTraced:
 
 
 # ---------------------------------------------------------------------- #
-# batch backends
+# the batch runner
 # ---------------------------------------------------------------------- #
 
 def _batch_jobs(n=6, seed=4):
@@ -311,30 +310,14 @@ class TestBatchBackends:
     def test_env_default_respected(self, monkeypatch):
         from repro.core.engine.vector import clear_vector_stats, vector_stats
 
-        # Sequential on purpose: the counters live in the process that
-        # steps the executions, and REPRO_PARALLEL=1 would move that into
-        # pool children (pooled vector jobs: test_parallel_backend_identical).
         monkeypatch.setenv("REPRO_VECTOR", "1")
         clear_vector_stats()
-        run_batch(_batch_jobs(), parallel=False)
+        run_batch(_batch_jobs())
         assert vector_stats()["activations"] == 2
         monkeypatch.setenv("REPRO_VECTOR", "0")
         clear_vector_stats()
-        run_batch(_batch_jobs(), parallel=False)
+        run_batch(_batch_jobs())
         assert vector_stats()["activations"] == 0
-
-    def test_parallel_backend_identical(self, monkeypatch):
-        """Vector jobs through the process pool (REPRO_PARALLEL path)
-        return the same outputs as the sequential object path."""
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
-        sequential = [
-            r.outputs for r in run_batch(_batch_jobs(), parallel=False, vector=False)
-        ]
-        pooled = [
-            r.outputs
-            for r in run_batch(_batch_jobs(), parallel=True, workers=2, vector=True)
-        ]
-        assert outputs_match(pooled, sequential)
 
 
 # ---------------------------------------------------------------------- #

@@ -3,11 +3,11 @@
 ``configs/table1.json`` and ``configs/table2.json`` must compile to
 documents that are *byte-identical* to what the pre-DSL machinery emits
 — :func:`~repro.analysis.tables.reproduce_table1/2` assembled through
-:func:`~repro.store.jobs.table_document` — sequentially and with the
-process pool forced on.  If the DSL ever drifts from the hard-coded
-reproduction, these tests are the tripwire.  Literal SHA-256 digests pin
-both tables' documents at seeds 1, 2 and 7919 as well, and the two
-shipped grid configs' documents under every engine mode.
+:func:`~repro.store.jobs.table_document`.  If the DSL ever drifts from
+the hard-coded reproduction, these tests are the tripwire.  Literal
+SHA-256 digests pin both tables' documents at seeds 1, 2 and 7919 as
+well, and the two shipped grid configs' documents under every engine
+mode.
 """
 
 import functools
@@ -72,13 +72,7 @@ def test_table_document_digest_is_pinned(table, seed):
 
 @pytest.mark.parametrize("table,name", [(1, "table1.json"), (2, "table2.json")])
 class TestGoldenConfigs:
-    def test_sequential_byte_identity(self, table, name, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        document = run_scenario(load_scenario(config_path(name)))
-        assert document_bytes(document) == hard_coded_bytes(table)
-
-    def test_parallel_byte_identity(self, table, name, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
+    def test_sequential_byte_identity(self, table, name):
         document = run_scenario(load_scenario(config_path(name)))
         assert document_bytes(document) == hard_coded_bytes(table)
 
@@ -106,7 +100,7 @@ PINNED_GRID_DIGESTS = {
 @pytest.mark.parametrize("engine", [None, "REPRO_VECTOR", "REPRO_QUOTIENT"])
 @pytest.mark.parametrize("name", sorted(PINNED_GRID_DIGESTS))
 def test_grid_document_digest_is_pinned(name, engine, monkeypatch):
-    for flag in ("REPRO_PARALLEL", "REPRO_VECTOR", "REPRO_QUOTIENT"):
+    for flag in ("REPRO_VECTOR", "REPRO_QUOTIENT"):
         monkeypatch.delenv(flag, raising=False)
     if engine is not None:
         monkeypatch.setenv(engine, "1")
@@ -144,7 +138,6 @@ class TestShippedGridConfig:
         # probe (28 for the 48 rows); unit by unit, every row runs.
         from repro.core.engine.quotient import quotient_stats
 
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         monkeypatch.delenv("REPRO_VECTOR", raising=False)
         monkeypatch.delenv("REPRO_QUOTIENT", raising=False)
         scenario = load_scenario(config_path("gossip_grid.json"))

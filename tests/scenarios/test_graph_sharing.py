@@ -144,7 +144,7 @@ def test_shared_graphs_give_the_unit_by_unit_rows(inputs, data):
     raw = data.draw(grids(inputs), label="grid")
     for flags in ENGINES:
         scenario = validate_scenario(
-            {**raw, "engine": {"parallel": False, **flags}}, source="drawn"
+            {**raw, "engine": flags}, source="drawn"
         )
         fresh = [compute_grid_row(scenario, *unit, **flags) for unit in grid_units(scenario)]
         assert run_scenario(scenario)["rows"] == fresh, flags
@@ -159,7 +159,7 @@ def builds(monkeypatch):
     """Per-family build counts, through a counting wrapper on every
     registered family's ``build`` (the runner looks families up at call
     time, so it sees the wrappers)."""
-    for flag in ("REPRO_PARALLEL", "REPRO_VECTOR", "REPRO_QUOTIENT", "REPRO_STORE"):
+    for flag in ("REPRO_VECTOR", "REPRO_QUOTIENT", "REPRO_STORE"):
         monkeypatch.delenv(flag, raising=False)
     counts = collections.Counter()
     for name, family in list(GRAPH_FAMILIES.items()):

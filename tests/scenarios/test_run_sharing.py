@@ -77,7 +77,7 @@ def distinct_runs(scenario):
 def jobs(monkeypatch):
     """Jobs handed to ``run_batch`` by the grid runner, through a counting
     wrapper on the name the runner calls."""
-    for flag in ("REPRO_PARALLEL", "REPRO_VECTOR", "REPRO_QUOTIENT", "REPRO_STORE"):
+    for flag in ("REPRO_VECTOR", "REPRO_QUOTIENT", "REPRO_STORE"):
         monkeypatch.delenv(flag, raising=False)
     counts = collections.Counter()
     real = runner.run_batch
@@ -139,7 +139,7 @@ def test_shared_runs_give_the_unit_by_unit_rows(jobs, inputs, data):
     raw = data.draw(grids(inputs), label="grid")
     for flags in ENGINES:
         scenario = validate_scenario(
-            {**raw, "engine": {"parallel": False, **flags}}, source="drawn"
+            {**raw, "engine": flags}, source="drawn"
         )
         fresh = unit_by_unit(scenario, **flags)
         jobs.clear()
@@ -286,7 +286,7 @@ def small_gossip_grid(engine):
             ],
             "probes": ["gossip-max"],
             "inputs": "one-hot",
-            "engine": {"parallel": False, **engine},
+            "engine": engine,
         },
         source="small-gossip",
     )

@@ -3,7 +3,8 @@
 Pins the DSL's execution-side contracts:
 
 * one config, one document — byte-identical across the object engine,
-  the vector fallback, the quotient fallback, and the process pool;
+  the vector fallback and the quotient fallback;
+* the retired ``REPRO_PARALLEL`` switch warns once and changes no byte;
 * the result store serves warm rows without changing a byte;
 * ``python -m repro run`` exits 0/1 on PASS/FAIL verdicts and 2 on
   config errors, with a one-line diagnostic instead of a traceback;
@@ -14,6 +15,7 @@ Pins the DSL's execution-side contracts:
 import dataclasses
 import json
 import os
+import warnings
 
 import pytest
 
@@ -53,15 +55,10 @@ def small_grid(tmp_path, **overrides):
 
 
 class TestEngineModeByteIdentity:
-    def test_all_modes_emit_identical_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    def test_all_modes_emit_identical_bytes(self, tmp_path):
         scenario = small_grid(tmp_path)
         base = document_bytes(run_scenario(scenario))
-        for flags in (
-            EngineFlags(vector=True),
-            EngineFlags(quotient=True),
-            EngineFlags(parallel=True, workers=2),
-        ):
+        for flags in (EngineFlags(vector=True), EngineFlags(quotient=True)):
             variant = dataclasses.replace(scenario, engine=flags)
             assert document_bytes(run_scenario(variant)) == base, flags
 
@@ -74,7 +71,7 @@ class TestEngineModeByteIdentity:
     def test_normalized_round_trips_through_validation(self, tmp_path):
         scenario = small_grid(
             tmp_path,
-            engine={"parallel": True, "workers": 2},
+            engine={"vector": True},
             output={"title": "round trip"},
         )
         again = validate_scenario(scenario.normalized(), source="round-trip")
@@ -127,7 +124,7 @@ class TestCensusOracle:
         assert main(["run", str(tmp_path / "small.json")]) == 0
 
     def test_store_filled_under_the_family_name_oracle_is_not_served(
-        self, tmp_path, capsysbinary, monkeypatch
+        self, tmp_path, capsysbinary
     ):
         # A store filled by a build whose census oracle read the family
         # name holds these rows: ring at n = 3, star and hypercube at
@@ -139,7 +136,6 @@ class TestCensusOracle:
         from repro.store.cache import ResultStore, result_key
         from repro.store.jobs import expected_result_key
 
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         scenario = small_grid(
             tmp_path,
             seeds=[0],
@@ -201,13 +197,9 @@ class TestCensusOracle:
 
 
 class TestStore:
-    def test_cold_and_warm_runs_identical(self, tmp_path, monkeypatch):
+    def test_cold_and_warm_runs_identical(self, tmp_path):
         from repro.store.cache import ResultStore
 
-        # Parallel workers open their own ResultStore by root, so this
-        # store object's hit/miss counters only observe the sequential
-        # path; byte-identity across engine modes is asserted elsewhere.
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         scenario = small_grid(tmp_path)
         direct = document_bytes(run_scenario(scenario))
         store = ResultStore(tmp_path / "store")
@@ -217,10 +209,9 @@ class TestStore:
         assert warm == direct
         assert store.hits >= len(grid_units(scenario))  # warm run hit disk
 
-    def test_row_keys_shared_across_engine_modes(self, tmp_path, monkeypatch):
+    def test_row_keys_shared_across_engine_modes(self, tmp_path):
         from repro.store.cache import ResultStore
 
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)  # observable counters
         scenario = small_grid(tmp_path)
         store = ResultStore(tmp_path / "store")
         run_scenario(scenario, store=store)
@@ -228,6 +219,38 @@ class TestStore:
         vectored = dataclasses.replace(scenario, engine=EngineFlags(vector=True))
         run_scenario(vectored, store=store)
         assert store.puts == puts  # every row served, none recomputed
+
+
+class TestRetiredParallelEnv:
+    """``REPRO_PARALLEL`` selects nothing: a truthy value warns once per
+    process, a falsy one stays silent, and neither changes a byte."""
+
+    @pytest.fixture(autouse=True)
+    def _plain_env(self, monkeypatch):
+        for flag in ("REPRO_PARALLEL", "REPRO_VECTOR", "REPRO_QUOTIENT", "REPRO_STORE"):
+            monkeypatch.delenv(flag, raising=False)
+
+    def test_truthy_value_warns_once_and_changes_no_byte(self, tmp_path, monkeypatch):
+        scenario = small_grid(tmp_path)
+        plain = document_bytes(run_scenario(scenario))
+        monkeypatch.setenv("REPRO_PARALLEL", "1")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # Python's default for UserWarning
+            first = document_bytes(run_scenario(scenario))
+            second = document_bytes(run_scenario(scenario))
+        assert first == second == plain
+        assert len(caught) == 1
+        assert caught[0].category is UserWarning
+        message = str(caught[0].message)
+        assert "REPRO_PARALLEL" in message
+        assert "store run --pools N" in message and "serve --pools N" in message
+
+    def test_falsy_value_is_silent(self, tmp_path, monkeypatch):
+        scenario = small_grid(tmp_path)
+        monkeypatch.setenv("REPRO_PARALLEL", "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_scenario(scenario)
 
 
 class TestRunCli:

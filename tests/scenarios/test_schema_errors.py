@@ -163,20 +163,21 @@ class TestEngineFlagViolations:
         raw["engine"] = {"vector": "yes"}
         fails_on(raw, "engine.vector")
 
-    def test_workers_must_be_positive(self):
-        raw = good_table()
-        raw["engine"] = {"parallel": True, "workers": 0}
-        fails_on(raw, "engine.workers")
+    @pytest.mark.parametrize(
+        "flag, value", [("parallel", True), ("parallel", False), ("workers", 2)]
+    )
+    def test_retired_pool_flags_rejected(self, flag, value):
+        # The in-job process pool is gone; a config asking for it fails
+        # naming the key instead of running without it.
+        raw = good_grid()
+        raw["engine"] = {flag: value}
+        message = fails_on(raw, f"engine.{flag}")
+        assert "known flags: quotient, vector" in message
 
     def test_quotient_and_vector_cannot_both_force_on(self):
         raw = good_table()
         raw["engine"] = {"quotient": True, "vector": True}
         assert "cannot both be forced on" in fails_on(raw, "engine")
-
-    def test_workers_without_parallel_rejected(self):
-        raw = good_table()
-        raw["engine"] = {"parallel": False, "workers": 4}
-        fails_on(raw, "engine.workers")
 
 
 class TestFileErrors:

@@ -113,6 +113,21 @@ class TestSubmission:
                 client.submit({"scenario": "x", "kind": "grid"})  # missing keys
         assert excinfo.value.status == 422
 
+    @pytest.mark.parametrize("flag, value", [("parallel", True), ("workers", 2)])
+    def test_retired_pool_engine_flag_is_422(self, service_thread, flag, value):
+        config = {
+            "scenario": "retired",
+            "kind": "table",
+            "table": 1,
+            "seed": 0,
+            "engine": {flag: value},
+        }
+        with service_thread.client() as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(config)
+        assert excinfo.value.status == 422
+        assert f"engine.{flag}" in str(excinfo.value)
+
     def test_submit_noop_returns_202_with_links(self, service_thread):
         with service_thread.client() as client:
             record = client.submit({"kind": "noop", "params": {"i": 1}})

@@ -286,16 +286,13 @@ class TestFetchOrCompute:
 
 
 class TestTableIntegration:
-    # Counter assertions pin parallel=False: under the process pool each
-    # worker opens its own store handle, so the parent's counters stay 0
-    # (the disk-state test below covers that backend).
     def test_warm_table_skips_computation(self, tmp_path):
         from repro.analysis.tables import reproduce_table1
 
         store = ResultStore(tmp_path)
-        cold = reproduce_table1(n=4, seed=0, store=store, parallel=False)
+        cold = reproduce_table1(n=4, seed=0, store=store)
         assert store.puts == 16 and store.hits == 0
-        warm = reproduce_table1(n=4, seed=0, store=store, parallel=False)
+        warm = reproduce_table1(n=4, seed=0, store=store)
         assert store.hits == 16 and store.puts == 16
         for a, b in zip(cold, warm):
             assert (a.model, a.knowledge, a.consistent, a.measured) == (
@@ -308,33 +305,15 @@ class TestTableIntegration:
         from repro.analysis.tables import reproduce_table1
 
         store = ResultStore(tmp_path)
-        reproduce_table1(n=4, seed=0, store=store, parallel=False)
+        reproduce_table1(n=4, seed=0, store=store)
         # Corrupt one arbitrary entry on disk.
         key, _ = next(store.entries())
         with open(store.entry_path(key), "w") as fh:
             fh.write("bitrot")
-        results = reproduce_table1(n=4, seed=0, store=store, parallel=False)
+        results = reproduce_table1(n=4, seed=0, store=store)
         assert store.healed == 1
         assert all(r.consistent for r in results)
         assert len(store) == 16  # healed entry was re-persisted
-
-    def test_parallel_backend_fills_and_reads_store(self, tmp_path):
-        from repro.analysis.tables import reproduce_table1
-
-        store = ResultStore(tmp_path)
-        cold = reproduce_table1(n=4, seed=0, store=store, parallel=True, workers=2)
-        assert len(store) == 16  # workers persisted every cell
-        warm = reproduce_table1(n=4, seed=0, store=store, parallel=True, workers=2)
-        for a, b in zip(cold, warm):
-            assert (a.model, a.knowledge, a.consistent) == (
-                b.model, b.knowledge, b.consistent
-            )
-            assert a.details == b.details
-            assert a.manifest == b.manifest
-        # And a sequential read of the pool-filled store is pure hits.
-        store.hits = store.puts = 0
-        reproduce_table1(n=4, seed=0, store=store, parallel=False)
-        assert store.hits == 16 and store.puts == 0
 
     def test_sweep_uses_store(self, tmp_path):
         from repro.analysis.rates import sweep_proof_invariants

@@ -29,7 +29,6 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(REPO_SRC)
-    env.pop("REPRO_PARALLEL", None)  # byte-identity tests pin one backend
     return env
 
 
@@ -348,6 +347,65 @@ class TestKillResume:
         resumed_bytes = read_doc_bytes(store, resumed.result_key)
         assert resumed.result_key == clean_key
         assert resumed_bytes == clean_bytes
+
+
+def _child_pids(pid):
+    """The child processes of ``pid`` (Linux ``/proc``; empty elsewhere)."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as fh:
+            return fh.read().split()
+    except OSError:
+        return []
+
+
+class TestNoOrphans:
+    """A SIGKILLed ``store run`` worker leaves no process behind, even
+    with ``REPRO_PARALLEL=1`` in its environment (the variable once
+    forked a process pool inside table cells, whose children outlived a
+    killed worker)."""
+
+    def test_sigkilled_worker_leaves_no_process_group(self, tmp_path):
+        queue = open_queue(tmp_path)
+        record = queue.submit("table2", {"n": 5, "seed": 0})  # 12 units
+        env = _env()
+        env["REPRO_PARALLEL"] = "1"
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro", "store", "--root", str(tmp_path), "run"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        pgid = worker.pid  # a new session leads its own process group
+        try:
+            # Kill mid-job, after the first unit: as soon as the worker
+            # has a child process, or at half the units if none shows up.
+            deadline = time.time() + 120
+            while True:
+                done = queue.get(record.id).progress.get("units_done", 0)
+                if done >= 6 or (done >= 1 and _child_pids(worker.pid)):
+                    break
+                assert worker.poll() is None, "worker exited mid-job"
+                assert time.time() < deadline, "worker never reported progress"
+                time.sleep(0.002)
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.wait()
+            deadline = time.time() + 5
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.time() < deadline, "the killed worker's process group is alive"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
 
 
 class TestStoreCLI:

@@ -28,7 +28,6 @@ from repro.store.snapshot import (
     Snapshot,
     SnapshotIntegrityError,
     SnapshotVersionError,
-    copy_states,
     decode_states,
     encode_states,
     read_snapshot,
@@ -54,7 +53,7 @@ class TestStateCodec:
 
     def test_copy_is_deep(self):
         states = [{"inner": [1, 2]}]
-        copied = copy_states(states)
+        copied = decode_states(encode_states(states))
         copied[0]["inner"].append(3)
         assert states[0]["inner"] == [1, 2]
 

@@ -6,10 +6,7 @@ bit-identical — states, canonical forms, trace digests — to running to
 round ``k``, snapshotting, serializing the snapshot to bytes, restoring
 it into a *fresh* execution, and running on to ``T``.  The recording
 algorithms are order-sensitive on purpose (any drift in delivery order or
-scramble-stream position changes their states), and the whole suite also
-runs under ``REPRO_PARALLEL=1`` in CI, which routes batch executions —
-and therefore the codec's worker-side state capture — through the
-process-parallel backend.
+scramble-stream position changes their states).
 """
 
 from hypothesis import given, settings
@@ -155,28 +152,3 @@ class TestTraceEquivalence:
             == tail_tracer.deterministic_rounds()
         )
 
-
-class TestParallelBackendCodec:
-    """The parallel backend's worker-side state capture goes through the
-    same audited codec; final states must come back bit-identical to the
-    sequential runner's."""
-
-    def test_worker_states_match_sequential(self):
-        from repro.core.engine import BatchJob, run_batch
-
-        def jobs():
-            return [
-                BatchJob(
-                    RecordBroadcast(),
-                    random_strongly_connected(4, seed=s),
-                    inputs=[10 + s, 20, 30, 40],
-                    rounds=3,
-                )
-                for s in range(4)
-            ]
-
-        sequential = run_batch(jobs(), parallel=False)
-        fanned = run_batch(jobs(), parallel=True, workers=2)
-        for seq, par in zip(sequential, fanned):
-            assert par.execution.states == seq.execution.states
-            assert par.outputs == seq.outputs
