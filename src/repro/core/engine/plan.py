@@ -61,11 +61,7 @@ class DeliveryPlan:
         self.source_ports: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(graph.port_of(e) for e in graph.in_edges(j)) for j in range(n)
         )
-        loops = [False] * n
-        for e in graph.edges:
-            if e.source == e.target:
-                loops[e.source] = True
-        self.all_self_loops: bool = all(loops)
+        self.all_self_loops: bool = graph.all_have_self_loops()
         self._symmetric: Optional[bool] = None
         # Lazily attached by repro.core.engine.vector.csr_for: the same
         # delivery schedule as flat numpy index arrays.  Kept on the plan

@@ -71,6 +71,29 @@ class Edge:
         return hash((self.index, self.source, self.target, self.color))
 
 
+class EdgeCache:
+    """What is derived from one edge structure, filled on first use.
+
+    Every graph :meth:`DiGraph.with_values` / :meth:`DiGraph.without_values`
+    builds shares its source's edges and therefore this cell, so each
+    valuation of one edge structure pays for these once:
+
+    * ``digest`` — the content fingerprint's edge digest
+      (:mod:`repro.core.memo` fills it);
+    * ``color_ids``, ``num_colors``, ``out_keys`` — the refiner's
+      canonical color id per edge and, per vertex, one int per out-edge
+      (:mod:`repro.fibrations.minimum_base` fills them).
+    """
+
+    __slots__ = ("digest", "color_ids", "num_colors", "out_keys")
+
+    def __init__(self):
+        self.digest = None
+        self.color_ids: Optional[List[int]] = None
+        self.num_colors = 0
+        self.out_keys: Optional[Tuple[Tuple[int, ...], ...]] = None
+
+
 class DiGraph:
     """A directed multigraph on vertices ``0 .. n-1``.
 
@@ -100,7 +123,7 @@ class DiGraph:
         "_in",
         "_out_ports",
         "_fingerprint",
-        "_edge_digest",
+        "_edge_cache",
     )
 
     def __init__(
@@ -157,10 +180,9 @@ class DiGraph:
         # Content fingerprint, computed lazily by repro.core.memo; ``None``
         # until someone asks for it (most throwaway graphs never do).
         self._fingerprint: Optional[str] = None
-        # One-slot cell for the fingerprint's edge digest (repro.core.memo
-        # fills it), shared by every graph with_values/without_values
-        # builds on this edge structure.
-        self._edge_digest: List[Any] = [None]
+        # Shared by every graph with_values/without_values builds on this
+        # edge structure.
+        self._edge_cache = EdgeCache()
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -226,7 +248,12 @@ class DiGraph:
         return self.has_edge(v, v)
 
     def all_have_self_loops(self) -> bool:
-        return all(self.has_self_loop(v) for v in self.vertices())
+        """Whether every vertex has a self-loop (§2.1), in one pass over the edges."""
+        loops = [False] * self.n
+        for e in self._edges:
+            if e.source == e.target:
+                loops[e.source] = True
+        return all(loops)
 
     # ------------------------------------------------------------------ #
     # derived graphs
@@ -240,7 +267,7 @@ class DiGraph:
         """This graph carrying the given vertex valuation.
 
         The result shares this graph's immutable edge tuple, adjacency,
-        port map and fingerprint edge digest, so building it costs O(n),
+        port map and :class:`EdgeCache`, so building it costs O(n),
         not an O(m) rebuild.  It is equal to
         ``DiGraph(self.n, self.edge_specs(), values=values)`` in every
         respect: edges, port numbering, fingerprint.
@@ -264,7 +291,7 @@ class DiGraph:
         clone._in = self._in
         clone._out_ports = self._out_ports
         clone._fingerprint = None
-        clone._edge_digest = self._edge_digest
+        clone._edge_cache = self._edge_cache
         return clone
 
     def with_colors(self, color_fn: Callable[[Edge], Hashable]) -> "DiGraph":
@@ -364,10 +391,10 @@ class DiGraph:
         return sorted((e.source, e.target, canonical_repr(e.color)) for e in self._edges)
 
     def __getstate__(self):
-        # The edge digest cell may hold a hashlib object, which does not
-        # pickle; a copy starts with an empty cell and rehashes on demand.
+        # The edge cache may hold a hashlib object, which does not pickle;
+        # a copy starts with an empty cache and refills it on demand.
         state = {name: getattr(self, name) for name in self.__slots__}
-        state["_edge_digest"] = [None]
+        state["_edge_cache"] = EdgeCache()
         return None, state
 
     def __iter__(self) -> Iterator[int]:

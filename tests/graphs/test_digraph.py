@@ -38,6 +38,12 @@ class TestConstruction:
         # The existing self-loop at 1 is not duplicated.
         assert g.edge_multiplicity(1, 1) == 1
 
+    def test_all_have_self_loops_needs_every_vertex(self):
+        g = DiGraph(3, [(0, 0), (0, 2), (2, 0), (1, 1)])
+        assert not g.all_have_self_loops()
+        assert [g.has_self_loop(v) for v in g.vertices()] == [True, True, False]
+        assert DiGraph(3, g.edge_specs() + [(2, 2)]).all_have_self_loops()
+
     def test_colored_edges(self):
         g = DiGraph(2, [(0, 1, "red"), (1, 0, "blue")])
         colors = {e.color for e in g.edges}
