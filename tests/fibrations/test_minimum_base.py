@@ -59,8 +59,9 @@ class TestQuotient:
 
     def test_non_equitable_rejected(self):
         g = star_graph(4)
-        with pytest.raises(ValueError):
-            quotient_by_partition(g, [0, 0, 0, 0])  # hub and leaves differ
+        for verify in (True, False):
+            with pytest.raises(ValueError, match="not equitable"):
+                quotient_by_partition(g, [0, 0, 0, 0], verify=verify)  # hub and leaves differ
 
     def test_value_refinement_enforced(self):
         g = DiGraph(2, [(0, 1), (1, 0), (0, 0), (1, 1)], values=["a", "b"])
