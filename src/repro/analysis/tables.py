@@ -678,13 +678,11 @@ def paper_table_document(
     vector: Optional[bool] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Dict[str, Any]:
-    """The deterministic document of one paper table — the generic,
-    DSL-backed builder behind ``configs/table1.json`` / ``table2.json``
-    and the durable scenario jobs.
+    """The deterministic document of one paper table — the one builder
+    behind ``configs/table1.json`` / ``table2.json``, the durable scenario
+    jobs and the ``table1`` / ``table2`` jobs.
 
-    Assembles exactly the bytes the hard-coded reproduction paths and the
-    PR-5 table jobs produce:
-    :func:`repro.store.jobs.table_document` over the
+    Assembles :func:`repro.store.jobs.table_document` over the
     :func:`cell_to_payload` records, in :func:`table_specs` order — so a
     scenario config, a ``store submit table1`` job, and a direct
     ``reproduce_table1`` call all emit byte-identical documents (engine
@@ -692,8 +690,8 @@ def paper_table_document(
     never their payloads).
 
     ``progress(done, total)`` — when given — is invoked after every
-    finished cell; the durable scenario job runner heartbeats its queue
-    lease there.
+    finished cell; the durable job runners heartbeat their queue lease
+    there.
     """
     from repro.store.cache import resolve_store
     from repro.store.jobs import table_document

@@ -293,47 +293,6 @@ class QuotientExecution(Execution):
         )
         _STATS["activations"] += 1
 
-    def adopt_partition(self, classes: Sequence[int]) -> "QuotientExecution":
-        """Pin this execution to an explicit fibration partition.
-
-        ``classes`` (one base-vertex id per full-graph vertex) must be an
-        equitable partition of the static network on which the current
-        configuration is fibrewise-constant; both are verified and a
-        ``ValueError`` raised otherwise.  The snapshot layer uses this to
-        resume a quotient run on exactly the fibration it was checkpointed
-        with, even when fresh activation would land on a different (e.g.
-        coarser) base — the scramble stream only continues bit-identically
-        on a base of the same size.
-        """
-        from repro.fibrations.lifting import pushdown_valuation
-        from repro.fibrations.minimum_base import quotient_by_partition
-
-        if not self._static:
-            raise ValueError("quotient execution needs a static network")
-        graph: DiGraph = self.network.graph_at(1)
-        mb = quotient_by_partition(graph, list(classes), verify=True)
-        full_states = self.states  # lifts first if currently active
-        base_states = pushdown_valuation(mb.fibration, full_states)
-        observers = list(self.observers)
-        was_active = self.quotient_active
-        base = Execution(
-            self.algorithm,
-            mb.base,
-            initial_states=base_states,
-            scramble_seed=self._scramble_seed,
-            check_model=False,
-        )
-        for observer in observers:
-            base.attach(observer)
-        self.minimum_base = mb
-        self.base_execution = base
-        self.quotient_fallback_reason = None
-        self._stepper.states = full_states
-        self._lifted_round = base.round_number
-        if not was_active:
-            _STATS["activations"] += 1
-        return self
-
     # ------------------------------------------------------------------ #
     # façade: delegate to the base run when active
     # ------------------------------------------------------------------ #

@@ -41,7 +41,6 @@ class EngineStepper:
         "plan_cache",
         "transport",
         "observers",
-        "_rng",
         "_scramble",
     )
 
@@ -64,11 +63,11 @@ class EngineStepper:
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.transport = transport_for(algorithm)
         self.observers: List[RoundObserver] = list(observers or ())
-        self._rng = None if scramble_seed is None else random.Random(scramble_seed)
-        # A set or multiset reader keeps its stream (snapshots record its
-        # position) but never draws from it.
+        # A set or multiset reader cannot see inbox order: it holds no stream.
         unordered = receives_of(type(algorithm)) in ("set", "multiset")
-        self._scramble = None if unordered else self._rng
+        self._scramble = (
+            None if unordered or scramble_seed is None else random.Random(scramble_seed)
+        )
 
     def step(self) -> int:
         """Run one full round; returns the new round number."""

@@ -387,25 +387,23 @@ class Tracer:
         self._ring_written = 0  # round records ever recorded (≥ retained)
         self._side: List[Tuple[int, TraceEvent]] = []  # non-round events
         self._seq = 0  # global emission ordinal across both stores
-        self._bound_registry = None
         self._bound_metrics = None
 
     # -- round hook ----------------------------------------------------- #
 
     def _metrics(self):
-        """The per-round metric handles, rebound if :attr:`registry` was
-        swapped (snapshot restore does that)."""
-        registry = self.registry
-        if self._bound_registry is not registry:
-            self._bound_metrics = (
+        """The per-round metric handles, bound on the first round."""
+        metrics = self._bound_metrics
+        if metrics is None:
+            registry = self.registry
+            metrics = self._bound_metrics = (
                 registry.counter("rounds"),
                 registry.counter("messages_delivered"),
                 registry.counter("bytes_delivered"),
                 registry.gauge("residual"),
                 registry.histogram("round_wall_seconds"),
             )
-            self._bound_registry = registry
-        return self._bound_metrics
+        return metrics
 
     def on_round(self, record: RoundRecord) -> None:
         units = self._payload_units

@@ -640,8 +640,7 @@ class VectorExecution(Execution):
 
     def _repack(self) -> None:
         """Adopt the stepper's states/round into the packed vector (the
-        snapshot layer calls this after restoring stepper fields, the
-        ``states`` setter after assigning them)."""
+        ``states`` setter calls this after assigning them)."""
         if not self.vector_active:
             return
         try:

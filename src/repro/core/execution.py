@@ -196,44 +196,6 @@ class Execution:
         return self
 
     # ------------------------------------------------------------------ #
-    # durable snapshots (the store layer sits above the engine, so these
-    # convenience hooks import it lazily)
-    # ------------------------------------------------------------------ #
-
-    def snapshot(self):
-        """Capture a versioned :class:`~repro.store.snapshot.Snapshot` of
-        this execution — round number, local states, scramble-stream
-        position, attached tracer counters.  Restoring it (here or in
-        another process) and running on is bit-identical to never having
-        stopped."""
-        from repro.store.snapshot import snapshot_execution
-
-        return snapshot_execution(self)
-
-    def restore(self, snapshot) -> "Execution":
-        """Restore a snapshot taken of the same computation, in place.
-
-        Refuses snapshots from a different codec or engine generation
-        (:class:`~repro.store.snapshot.SnapshotVersionError`), a different
-        algorithm, or a mismatched network size; returns ``self``.
-        """
-        from repro.store.snapshot import restore_execution
-
-        restore_execution(self, snapshot)
-        return self
-
-    def checkpoint_to(self, path, every: int = 10):
-        """Attach a periodic checkpoint hook: every ``every`` rounds the
-        current snapshot is written atomically to ``path``.  Returns the
-        attached :class:`~repro.store.snapshot.Checkpointer` (call its
-        ``save()`` for an off-schedule checkpoint)."""
-        from repro.store.snapshot import Checkpointer
-
-        checkpointer = Checkpointer(self, path, every=every)
-        self.attach(checkpointer)
-        return checkpointer
-
-    # ------------------------------------------------------------------ #
 
     def outputs(self) -> List[Any]:
         """Current output variables ``x_1 .. x_n``."""

@@ -27,7 +27,6 @@ from repro.fibrations.minimum_base import (
 from repro.fibrations.prime import is_fibration_prime
 from repro.fibrations.lifting import (
     lift_global_state,
-    lift_snapshot,
     lift_valuation,
     lifted_function,
     pushdown_global_state,
@@ -45,7 +44,6 @@ __all__ = [
     "is_fibration",
     "is_fibration_prime",
     "lift_global_state",
-    "lift_snapshot",
     "lift_valuation",
     "lifted_function",
     "minimum_base",

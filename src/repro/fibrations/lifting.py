@@ -98,35 +98,3 @@ def pushdown_global_state(phi: GraphMorphism, state: Sequence[Any]) -> List[Any]
     when it is *not* in the image of the lift and no base run can reach it.
     """
     return pushdown_valuation(phi, state)
-
-
-def lift_snapshot(phi: GraphMorphism, base_snapshot):
-    """Lift a base-run :class:`~repro.store.snapshot.Snapshot` along ``φ``.
-
-    Takes a snapshot of an execution on the *base* graph ``B`` (so
-    ``base_snapshot.n == phi.target_graph.n``) and returns a snapshot of
-    the lifted execution on ``G``: same algorithm, same round number, same
-    scramble-stream position, states copied fibrewise and re-digested.
-
-    Lemma 3.1 makes the lifted snapshot a genuine checkpoint of a run on
-    ``G`` — with one caveat: the scramble stream it carries is the *base*
-    run's, so a restore only stays bit-identical to a direct full-graph
-    run when the transition ignores inbox order
-    (:attr:`~repro.core.agent.Algorithm.receives`).
-    """
-    from repro.store.snapshot import Snapshot, encode_states, state_digest
-
-    if base_snapshot.n != phi.target_graph.n:
-        raise ValueError(
-            f"snapshot has {base_snapshot.n} agents, base graph has {phi.target_graph.n} vertices"
-        )
-    lifted = lift_global_state(phi, base_snapshot.states())
-    return Snapshot(
-        algorithm=base_snapshot.algorithm,
-        n=phi.source_graph.n,
-        round_number=base_snapshot.round_number,
-        states_blob=encode_states(lifted),
-        states_digest=state_digest(lifted),
-        rng_state=base_snapshot.rng_state,
-        tracers=list(base_snapshot.tracers),
-    )

@@ -53,8 +53,7 @@ class View:
 
     # Identity semantics: the builder guarantees structural equality implies
     # object identity, so default __eq__/__hash__ (by id) are correct *per
-    # builder*.  Views from different builders must not be mixed; bring
-    # one across with ViewBuilder.adopt.
+    # builder*.  Views from different builders must not be mixed.
 
 
 def _canonical_child_key(pair: Tuple[Hashable, View]) -> Tuple[str, int]:
@@ -73,8 +72,7 @@ class ViewBuilder:
     every algorithm that shares the builder: candidate bases keyed by view
     uid, fibre solves keyed by base content, history-class solves.  Keys
     are tuples led by a tag naming the function.  A uid key is sound
-    because uids are append-only here and equal views share one; a view
-    interned elsewhere must go through :meth:`adopt` first.
+    because uids are append-only here and equal views share one.
     """
 
     def __init__(self) -> None:
@@ -118,42 +116,6 @@ class ViewBuilder:
             )
         self._trunc_cache[(view.uid, depth)] = result
         return result
-
-    def adopt(self, obj: Any) -> Any:
-        """``obj`` with every view in it re-interned in this builder.
-
-        ``obj`` is a view, or tuples and lists nesting views and other
-        data (a local state, a state vector).  A view unpickled from a
-        snapshot, or built by another builder, carries uids that mean
-        other views here; its adopted equal is this builder's own.  Views
-        are rebuilt bottom-up, shallowest first, so no foreign uid is read.
-        """
-        adopted: Dict[int, View] = {}
-
-        def adopt_view(view: View) -> View:
-            pending: Dict[int, View] = {}
-            stack = [view]
-            while stack:
-                node = stack.pop()
-                if id(node) not in adopted and id(node) not in pending:
-                    pending[id(node)] = node
-                    stack.extend(ch for (_c, ch) in node.children)
-            for node in sorted(pending.values(), key=lambda nd: nd.depth):
-                adopted[id(node)] = self.node(
-                    node.label, [(c, adopted[id(ch)]) for (c, ch) in node.children]
-                )
-            return adopted[id(view)]
-
-        def walk(x: Any) -> Any:
-            if isinstance(x, View):
-                return adopt_view(x)
-            if type(x) is tuple:
-                return tuple(walk(e) for e in x)
-            if type(x) is list:
-                return [walk(e) for e in x]
-            return x
-
-        return walk(obj)
 
 
 def view_of(

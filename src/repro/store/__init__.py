@@ -4,9 +4,6 @@ Three layers, bottom-up:
 
 * :mod:`repro.store.atomic` — crash-safe filesystem primitives
   (atomic replace-writes, line-atomic appends, temp-file sweeping);
-* :mod:`repro.store.snapshot` — the versioned execution snapshot codec
-  and checkpoint/resume (:func:`snapshot_execution`,
-  :func:`restore_execution`, :class:`Checkpointer`);
 * :mod:`repro.store.cache` + :mod:`repro.store.scheduler` +
   :mod:`repro.store.jobs` — the content-addressed result store, the
   lock-file-lease job queue, and the runners that bind the queue to the
@@ -30,20 +27,6 @@ _EXPORTS = {
     "atomic_write_text": "repro.store.atomic",
     "append_line": "repro.store.atomic",
     "sweep_temp_files": "repro.store.atomic",
-    # snapshot
-    "SNAPSHOT_CODEC_VERSION": "repro.store.snapshot",
-    "Snapshot": "repro.store.snapshot",
-    "SnapshotError": "repro.store.snapshot",
-    "SnapshotVersionError": "repro.store.snapshot",
-    "SnapshotIntegrityError": "repro.store.snapshot",
-    "Checkpointer": "repro.store.snapshot",
-    "encode_states": "repro.store.snapshot",
-    "decode_states": "repro.store.snapshot",
-    "snapshot_execution": "repro.store.snapshot",
-    "restore_execution": "repro.store.snapshot",
-    "resume_execution": "repro.store.snapshot",
-    "write_snapshot": "repro.store.snapshot",
-    "read_snapshot": "repro.store.snapshot",
     # cache
     "ResultStore": "repro.store.cache",
     "result_key": "repro.store.cache",

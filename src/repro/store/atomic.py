@@ -1,7 +1,7 @@
 """Atomic filesystem writes: a killed process never leaves a torn file.
 
-Every durable artifact in this repository — snapshots, cached results,
-job records, traces, certificates — goes through :func:`atomic_write_bytes`
+Every durable artifact in this repository — cached results, job
+records, traces, certificates — goes through :func:`atomic_write_bytes`
 or :func:`atomic_write_text`.  The recipe is the standard POSIX one:
 write the full payload to a ``tempfile`` in the *destination directory*
 (same filesystem, so the final step cannot degrade to a copy), flush,

@@ -40,11 +40,16 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 from repro.core.engine import ENGINE_VERSION
 from repro.envflags import env_path
 from repro.store.atomic import atomic_write_text, sweep_temp_files
-from repro.store.snapshot import SNAPSHOT_CODEC_VERSION
 
 #: Environment variable naming a store root that every harness entry
 #: point (tables, sweeps, certificates, the CLI) consults by default.
 STORE_ENV = "REPRO_STORE"
+
+#: The store-format stamp every entry carries as ``"snapshot_codec"``.
+#: The field is named after a codec that no longer exists; name and value
+#: stay so existing entries (and the served bytes of each) stay valid,
+#: and :meth:`ResultStore.gc` prunes entries with any other stamp or none.
+SNAPSHOT_CODEC_VERSION = "2"
 
 
 def canonical_params(params: Dict[str, Any]) -> str:
@@ -245,10 +250,10 @@ class ResultStore:
 
     def gc(self, prune_versions: bool = True) -> Dict[str, int]:
         """Reclaim junk: orphaned temp files, corrupt entries, and (by
-        default) entries written by other engine generations or under an
-        older snapshot codec (pre-quotient entries lack the
-        ``snapshot_codec`` stamp entirely and are pruned too).  Returns
-        counts of what was removed."""
+        default) entries written by other engine generations or with a
+        store-format stamp other than :data:`SNAPSHOT_CODEC_VERSION`
+        (pre-quotient entries lack the stamp entirely and are pruned
+        too).  Returns counts of what was removed."""
         removed_tmp = len(sweep_temp_files(self.root)) if os.path.isdir(self.root) else 0
         removed_corrupt = 0
         removed_stale = 0

@@ -148,28 +148,24 @@ def table_document(
 
 
 def _run_table_job(queue: JobQueue, store: ResultStore, record: JobRecord) -> str:
-    from repro.analysis.tables import cell_to_payload, compute_cell, table_specs
+    from repro.analysis.tables import paper_table_document
 
-    dynamic = record.kind == "table2"
-    n = int(record.params.get("n", 5 if dynamic else 6))
+    table = 2 if record.kind == "table2" else 1
+    n = int(record.params.get("n", 5 if table == 2 else 6))
     seed = int(record.params.get("seed", 0))
+    log = JobEventLog(store.root)
+
+    def progress(done: int, total: int) -> None:
+        _unit_progress(queue, log, record, done, total)
+
     # Quotient/vector acceleration changes how cells are computed, never
     # what they contain, so both ride in the job params but stay out of
     # the document key / cell store keys — warm caches serve every mode.
-    quotient = record.params.get("quotient")
-    vector = record.params.get("vector")
-    specs = table_specs(dynamic, n, seed)
-    log = JobEventLog(store.root)
-    payloads: List[Dict[str, Any]] = []
-    for done, (dyn, model, knowledge, cell_n, cell_seed) in enumerate(specs, start=1):
-        result = compute_cell(
-            dyn, model, knowledge, cell_n, cell_seed, store=store, quotient=quotient,
-            vector=vector,
-        )
-        payloads.append(cell_to_payload(result))
-        _unit_progress(queue, log, record, done, len(specs))
+    doc = paper_table_document(
+        table, n, seed, store=store, quotient=record.params.get("quotient"),
+        vector=record.params.get("vector"), progress=progress,
+    )
     params = {"n": n, "seed": seed}
-    doc = table_document(record.kind, n, seed, payloads)
     key = document_key(record.kind, params)
     store.put(key, doc, kind=f"{record.kind}-doc", params=params)
     return key

@@ -127,17 +127,21 @@ class TestDeclaredReadersDrawNothing:
     ROUNDS = 6
 
     def test_stream_stays_at_its_seed(self):
+        # A declared reader holds no stream, so nothing can draw from it;
+        # a "sequence" reader holds one, at its seed until it steps.
         runs = [
             (GossipAlgorithm(), star_graph(5), [0, 1, 2, 1, 0]),
             (OneBitCensusAlgorithm(), star_graph(5), [1, 0, 1, 1, 0]),
             (OutdegreeViewAlgorithm(), star_graph(5), [0, 1, 0, 1, 0]),
             (HistoryTreeAlgorithm(), bidirectional_ring(5), [0, 1, 0, 0, 1]),
         ]
-        for algorithm, graph, inputs in runs:
-            for seed in (0, 7, 123456789):
+        for seed in (0, 7, 123456789):
+            for algorithm, graph, inputs in runs:
                 ex = Execution(algorithm, graph, inputs=inputs, scramble_seed=seed)
                 ex.run(self.ROUNDS)
-                assert ex._stepper._rng.getstate() == random.Random(seed).getstate()
+                assert ex._stepper._scramble is None
+            ex = Execution(GossipRecordOrder(), star_graph(5), inputs=[0] * 5, scramble_seed=seed)
+            assert ex._stepper._scramble.getstate() == random.Random(seed).getstate()
 
     def test_overriding_subclass_gets_the_pinned_schedule(self):
         ex = Execution(GossipRecordOrder(), star_graph(4), inputs=[0, 1, 2, 3], scramble_seed=0)

@@ -4,8 +4,8 @@ The faithfulness contract (vector trajectories == object trajectories)
 lives in ``tests/property/test_vector_properties.py``; these tests pin
 the machinery around it: CSR index arrays, the kernel registry and its
 faithful-subclass guard, activation/fallback bookkeeping, state
-synchronization with the snapshot layer, error-behavior parity, and
-the gossip kernel's one unpacked state per distinct packed row.
+synchronization through the ``states`` setter, error-behavior parity,
+and the gossip kernel's one unpacked state per distinct packed row.
 """
 
 import os
@@ -237,15 +237,15 @@ class TestStateSync:
         assert ex.round_number == 2
 
     def test_restore_of_unpackable_states_demotes(self):
-        # The snapshot holds 1, 1.0 and True, which one packed column per
-        # value cannot give back: the restore takes the object path, and
-        # later rounds follow the object run.
+        # 1, 1.0 and True are equal but differently spelled; one packed
+        # column per value cannot give them back, so assigning them takes
+        # the object path and later rounds follow the object run.
         g = bidirectional_ring(4)
         inputs = [1, 1.0, True, 2]
-        snap = Execution(GossipAlgorithm(), g, inputs=inputs).run(1).snapshot()
-        vec = Execution(GossipAlgorithm(), g, inputs=[1, 2, 3, 4], vector=True).run(2)
+        states = Execution(GossipAlgorithm(), g, inputs=inputs).run(1).states
+        vec = Execution(GossipAlgorithm(), g, inputs=[1, 2, 3, 4], vector=True).run(1)
         assert vec.vector_active
-        vec.restore(snap)
+        vec.states = states
         assert not vec.vector_active
         assert vec.vector_fallback_reason == "pack-failed"
         assert vec.round_number == 1
@@ -255,21 +255,6 @@ class TestStateSync:
         assert [canonical_repr(s) for s in vec.states] == [
             canonical_repr(s) for s in obj.states
         ]
-
-    def test_snapshot_roundtrip(self):
-        g = random_strongly_connected(7, seed=2)
-        inputs = [float(v + 1) for v in range(7)]
-        ex = Execution(PushSumAlgorithm(), g, inputs=inputs, vector=True)
-        ex.run(5)
-        snap = ex.snapshot()
-
-        resumed = Execution(PushSumAlgorithm(), g, inputs=inputs, vector=True)
-        resumed.restore(snap)
-        assert resumed.round_number == 5
-        resumed.run(3)
-
-        straight = Execution(PushSumAlgorithm(), g, inputs=inputs, vector=True).run(8)
-        assert resumed.states == straight.states
 
     def test_round_number_tracks_vector_rounds(self):
         g = bidirectional_ring(5)
@@ -424,18 +409,3 @@ class TestOneStatePerClass:
         assert len(reads) == report.rounds_run
         assert all(built == classes for built, classes in reads)
         assert max(built for built, _ in reads) == 2
-
-    def test_snapshot_of_shared_states_resumes_bit_identically(self):
-        g = random_strongly_connected(9, seed=4)
-        inputs = [v % 3 for v in range(9)]
-        make = lambda: Execution(GossipAlgorithm(len), g, inputs=inputs, vector=True)  # noqa: E731
-        snap = make().run(2).snapshot()
-        resumed = make()
-        resumed.restore(snap)
-        straight = make().run(2)
-        for _ in range(4):
-            resumed.step()
-            straight.step()
-            assert resumed.unanimous_output() == straight.unanimous_output()
-        assert resumed.snapshot().to_bytes() == straight.snapshot().to_bytes()
-        assert resumed.states == Execution(GossipAlgorithm(len), g, inputs=inputs).run(6).states

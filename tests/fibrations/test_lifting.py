@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.fibrations.fibration import ring_collapse
 from repro.fibrations.lifting import (
     lift_global_state,
-    lift_snapshot,
     lift_valuation,
     lifted_function,
     pushdown_global_state,
@@ -119,33 +118,3 @@ class TestPushdown:
         values = [(v * 7919 + salt) for v in range(base_n * mult)]
         with pytest.raises(ValueError):
             pushdown_valuation(phi, values)
-
-
-class TestLiftSnapshot:
-    def test_roundtrip_through_quotient_execution(self):
-        from repro.algorithms import GossipAlgorithm
-        from repro.core.execution import Execution
-        from repro.graphs.builders import hypercube
-        from repro.store.snapshot import snapshot_execution
-
-        g = hypercube(3)
-        execution = Execution(GossipAlgorithm(max), g, inputs=[7] * g.n, quotient=True)
-        assert execution.quotient_active
-        execution.run(3)
-        base_snapshot = snapshot_execution(execution.base_execution)
-        lifted = lift_snapshot(execution.minimum_base.fibration, base_snapshot)
-        assert lifted.n == g.n
-        assert lifted.round_number == execution.round_number
-        assert lifted.states() == execution.states
-
-    def test_wrong_base_size_rejected(self):
-        from repro.algorithms import GossipAlgorithm
-        from repro.core.execution import Execution
-        from repro.graphs.builders import bidirectional_ring
-        from repro.store.snapshot import snapshot_execution
-
-        phi = ring_collapse(6, 3)
-        other = Execution(GossipAlgorithm(max), bidirectional_ring(4), inputs=[1] * 4)
-        other.run(1)
-        with pytest.raises(ValueError):
-            lift_snapshot(phi, snapshot_execution(other))

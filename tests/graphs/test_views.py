@@ -64,32 +64,6 @@ class TestTruncation:
         assert b.truncate(v, 2).depth == 2
 
 
-class TestAdopt:
-    def test_copies_map_to_native_views(self):
-        import pickle
-
-        b = ViewBuilder()
-        leaf = b.leaf(1)
-        view = b.node(2, [(None, leaf), (0, leaf)])
-        state = (7, view)
-        copied = pickle.loads(pickle.dumps([state, state]))
-        assert copied[0][1] is not view
-        adopted = b.adopt(copied)
-        assert adopted == [state, state]
-        assert adopted[0][1] is view and adopted[1][1] is view
-        assert len(b) == 2
-
-    def test_foreign_views_intern_by_content(self):
-        other = ViewBuilder()
-        other.leaf("padding")  # shifts the other builder's uids
-        foreign = other.node("r", [(1, other.leaf("a")), (None, other.leaf("b"))])
-        b = ViewBuilder()
-        mine = b.node("r", [(None, b.leaf("b")), (1, b.leaf("a"))])
-        assert foreign.uid != mine.uid
-        assert b.adopt(foreign) is mine
-        assert b.adopt(("x", [foreign], 3)) == ("x", [mine], 3)
-
-
 class TestGraphViews:
     def test_anonymous_symmetric_vertices_share_views(self, valued_ring6):
         views = all_views(valued_ring6, depth=10)

@@ -15,9 +15,6 @@ pin the contract:
   networks, the ``OUTPUT_PORT_AWARE`` model, and fibrations that do not
   preserve outdegrees all fall back to direct execution — same
   trajectory, ``quotient_active == False``, a named fallback reason.
-* **Snapshots.**  A quotient run checkpoints base states plus fibration
-  classes (codec "2"), resumes bit-identically, and refuses cross-mode
-  restores.
 """
 
 import os
@@ -441,77 +438,3 @@ class TestBatchAndParallel:
         assert bandwidth_sweep(specs, quotient=True) == bandwidth_sweep(
             specs, quotient=False
         )
-
-
-class TestQuotientSnapshots:
-    def _run(self, rounds, quotient=True):
-        g = torus(3, 3)
-        return Execution(
-            GossipAlgorithm(min), g, inputs=[4] * g.n,
-            scramble_seed=11, quotient=quotient,
-        ).run(rounds)
-
-    def test_snapshot_records_base_and_classes(self):
-        from repro.store.snapshot import snapshot_execution
-
-        execution = self._run(3)
-        assert execution.quotient_active
-        snapshot = snapshot_execution(execution)
-        assert snapshot.quotient is not None
-        assert snapshot.quotient["base_n"] == execution.base_n
-        assert snapshot.quotient["classes"] == list(
-            execution.minimum_base.classes
-        )
-        assert snapshot.n == execution.n
-        assert len(snapshot.states()) == execution.base_n
-
-    def test_resume_is_bit_identical_including_snapshot_bytes(self):
-        from repro.store.snapshot import resume_execution, snapshot_execution
-        from repro.store.snapshot import Snapshot
-
-        interrupted = self._run(3)
-        blob = snapshot_execution(interrupted).to_bytes()
-        resumed = resume_execution(
-            Snapshot.from_bytes(blob), GossipAlgorithm(min), torus(3, 3)
-        )
-        assert isinstance(resumed, QuotientExecution) and resumed.quotient_active
-        resumed.run(ROUNDS)
-        uninterrupted = self._run(3 + ROUNDS)
-        assert resumed.states == uninterrupted.states
-        assert (
-            snapshot_execution(resumed).to_bytes()
-            == snapshot_execution(uninterrupted).to_bytes()
-        )
-
-    def test_cross_mode_restores_refused(self):
-        from repro.store.snapshot import SnapshotError, restore_execution, snapshot_execution
-
-        quotient_run = self._run(2)
-        # quotient=False hands back a plain Execution (no quotient façade).
-        direct_run = self._run(2, quotient=False)
-        assert not getattr(direct_run, "quotient_active", False)
-        with pytest.raises(SnapshotError):
-            restore_execution(direct_run, snapshot_execution(quotient_run))
-        with pytest.raises(SnapshotError):
-            restore_execution(quotient_run, snapshot_execution(direct_run))
-
-    def test_adopt_partition_pins_finer_fibration(self):
-        g = bidirectional_ring(6)
-        execution = Execution(
-            GossipAlgorithm(max), g, inputs=[1] * 6, quotient=True
-        )
-        assert execution.base_n == 1
-        execution.adopt_partition([0, 1, 2, 0, 1, 2])
-        assert execution.base_n == 3
-        direct = Execution(GossipAlgorithm(max), g, inputs=[1] * 6)
-        execution.run(ROUNDS)
-        direct.run(ROUNDS)
-        assert execution.states == direct.states
-
-    def test_adopt_partition_rejects_inequitable(self):
-        g = bidirectional_ring(6)
-        execution = Execution(
-            GossipAlgorithm(max), g, inputs=[1] * 6, quotient=True
-        )
-        with pytest.raises(ValueError):
-            execution.adopt_partition([0, 0, 0, 0, 0, 1])

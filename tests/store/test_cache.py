@@ -1,5 +1,6 @@
 """Unit tests for the content-addressed result store and atomic layer."""
 
+import hashlib
 import json
 import os
 
@@ -88,6 +89,16 @@ class TestResultStore:
         with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
             assert fa.read() == fb.read()
 
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        # Warm stores and served entries depend on these exact bytes,
+        # envelope fields and their "snapshot_codec" stamp included.
+        store = ResultStore(tmp_path)
+        key = result_key("thing", {"x": 1})
+        store.put(key, {"v": 1}, kind="thing", params={"x": 1})
+        with open(store.entry_path(key), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "bab5fc1f49b088ee476fe97b00a4fc631cd3132d85ad060f01b76a104b6689ef"
+
     def test_undecodable_entry_heals(self, tmp_path):
         store = ResultStore(tmp_path)
         key = result_key("thing", {})
@@ -174,7 +185,7 @@ class TestResultStore:
         # either an older stamp or no stamp at all; gc prunes both, while
         # current-codec entries survive.
         from repro.core.engine import ENGINE_VERSION
-        from repro.store.snapshot import SNAPSHOT_CODEC_VERSION
+        from repro.store.cache import SNAPSHOT_CODEC_VERSION
 
         store = ResultStore(tmp_path)
         good = result_key("thing", {"x": 1})

@@ -91,6 +91,23 @@ class TestRunWorker:
         assert queue.get(record.id).status == FAILED
         assert queue.get(record.id).attempts == 3
 
+    @pytest.mark.parametrize(
+        "engine", [{}, {"quotient": True}, {"vector": True}], ids=["plain", "quotient", "vector"]
+    )
+    @pytest.mark.parametrize("table", [1, 2])
+    def test_table_job_document_is_paper_table_document(
+        self, tmp_path, monkeypatch, table, engine
+    ):
+        from repro.analysis.tables import paper_table_document
+
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        queue = open_queue(tmp_path)
+        store = open_store(tmp_path)
+        record = queue.submit(f"table{table}", {"n": 4, "seed": 0, **engine})
+        assert run_worker(tmp_path, queue=queue, store=store) == 1
+        doc = store.get(queue.get(record.id).result_key)
+        assert doc == paper_table_document(table, 4, 0)
+
     def test_table_document_is_pure(self):
         cells = [{"consistent": True}, {"consistent": False}]
         doc = table_document("table1", 4, 0, cells)
