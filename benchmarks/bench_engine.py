@@ -38,7 +38,7 @@ from conftest import emit
 from repro.algorithms import PushSumAlgorithm
 from repro.core.agent import BroadcastAlgorithm
 from repro.core.engine import ReferenceExecution
-from repro.core.engine.vector import numpy_available
+from repro.core.engine.vector import VectorExecution, numpy_available
 from repro.core.execution import Execution
 from repro.dynamics.dynamic_graph import PeriodicDynamicGraph
 from repro.dynamics.generators import random_dynamic_strongly_connected
@@ -115,13 +115,12 @@ def _vector_workload():
     inputs = [float(v + 1) for v in range(N)]
     graphs = [random_strongly_connected(N, 0.2, seed=100 + i) for i in range(16)]
 
-    def make(vector):
+    def make(backend):
         def build():
-            execution = Execution(
+            execution = backend(
                 PushSumAlgorithm(),
                 PeriodicDynamicGraph(graphs),
                 inputs=inputs,
-                vector=vector,
             )
             execution.run(len(graphs))  # warm the plan/CSR caches
             return execution
@@ -131,8 +130,8 @@ def _vector_workload():
     # Longer timed section + more repeats than the interpreter workloads:
     # the vector engine finishes 300 rounds in ~10ms, so per-run jitter
     # needs more amortization before the ratio stabilizes.
-    object_rps = _throughput(make(False), rounds=600, repeats=5)
-    vector_rps = _throughput(make(True), rounds=600, repeats=5)
+    object_rps = _throughput(make(Execution), rounds=600, repeats=5)
+    vector_rps = _throughput(make(VectorExecution), rounds=600, repeats=5)
     return {
         "object_rounds_per_sec": round(object_rps, 1),
         "vector_rounds_per_sec": round(vector_rps, 1),

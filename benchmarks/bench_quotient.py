@@ -35,7 +35,11 @@ from pathlib import Path
 from conftest import emit
 
 from repro.algorithms import GossipAlgorithm
-from repro.core.engine.quotient import clear_quotient_stats, quotient_stats
+from repro.core.engine.quotient import (
+    QuotientExecution,
+    clear_quotient_stats,
+    quotient_stats,
+)
 from repro.core.execution import Execution
 from repro.graphs.builders import bidirectional_ring, hypercube, torus
 
@@ -65,9 +69,7 @@ def run_bench() -> dict:
         inputs = [7] * g.n
 
         started = time.perf_counter()
-        accelerated = Execution(
-            GossipAlgorithm(max), g, inputs=inputs, quotient=True
-        )
+        accelerated = QuotientExecution(GossipAlgorithm(max), g, inputs=inputs)
         activation_seconds = time.perf_counter() - started
         assert accelerated.quotient_active, (
             f"{name}: quotient did not activate "

@@ -32,6 +32,7 @@ import json
 import sys
 
 from repro.analysis.tables import format_results, reproduce_table1, reproduce_table2
+from repro.core.engine import EngineFlags
 
 
 def trace_main(argv=None) -> int:
@@ -113,10 +114,10 @@ def trace_main(argv=None) -> int:
 
     from repro.algorithms import GossipAlgorithm, PushSumAlgorithm
     from repro.analysis.provenance import Manifest, network_fingerprint
+    from repro.core.engine import select_backend
     from repro.core.engine.quotient import publish_quotient_metrics, quotient_stats
     from repro.core.engine.trace import trace_execution, write_jsonl
     from repro.core.engine.vector import publish_vector_metrics, vector_stats
-    from repro.core.execution import Execution
     from repro.core.memo import memo_stats, publish_memo_metrics
 
     if args.recurring is not None:
@@ -167,9 +168,10 @@ def trace_main(argv=None) -> int:
     baseline = memo_stats()
     quotient_baseline = quotient_stats()
     vector_baseline = vector_stats()
-    execution = Execution(
-        algorithm, network, inputs=inputs, quotient=args.quotient, vector=args.vector
-    )
+    # Unset flags are False, not None: a trace runs what its flags say,
+    # whatever REPRO_QUOTIENT / REPRO_VECTOR hold.
+    backend = select_backend(EngineFlags(quotient=args.quotient, vector=args.vector))
+    execution = backend(algorithm, network, inputs=inputs)
     tracer = trace_execution(execution, rounds=args.rounds)
     # This run's memo hits/misses (delta from the baseline snapshot) go
     # into the summary metrics as memo_<cache>_hits / _misses counters,
@@ -740,39 +742,27 @@ def main(argv=None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    # An unset flag is None, which keeps the environment default.
+    engine = EngineFlags(
+        quotient=True if args.quotient else None,
+        vector=True if args.vector else None,
+    )
 
     if args.json:
         from repro.analysis.certificate import reproduction_certificate
 
-        doc = reproduction_certificate(
-            n=args.n,
-            seed=args.seed,
-            quotient=True if args.quotient else None,
-            vector=True if args.vector else None,
-        )
+        doc = reproduction_certificate(n=args.n, seed=args.seed, engine=engine)
         print(json.dumps(doc, indent=2))
         return 0 if doc["summary"]["verdict"] == "PASS" else 1
 
-    quotient = True if args.quotient else None  # None keeps the env default
-    vector = True if args.vector else None  # None keeps the env default
     failures = 0
     if args.table in ("1", "both"):
-        results = reproduce_table1(
-            n=args.n,
-            seed=args.seed,
-            quotient=quotient,
-            vector=vector,
-        )
+        results = reproduce_table1(n=args.n, seed=args.seed, engine=engine)
         print(format_results(results, "Table 1 — static strongly connected networks"))
         failures += sum(not r.consistent for r in results)
         print()
     if args.table in ("2", "both"):
-        results = reproduce_table2(
-            n=min(args.n, 6),
-            seed=args.seed,
-            quotient=quotient,
-            vector=vector,
-        )
+        results = reproduce_table2(n=min(args.n, 6), seed=args.seed, engine=engine)
         print(format_results(results, "Table 2 — dynamic networks with finite dynamic diameter"))
         failures += sum(not r.consistent for r in results)
         print()

@@ -24,6 +24,7 @@ from repro.core.agent import (
     OutdegreeAlgorithm,
     OutputPortAlgorithm,
 )
+from repro.core.engine import EngineFlags, select_backend
 from repro.core.execution import Execution
 from repro.graphs.views import View
 
@@ -153,31 +154,24 @@ def traced_bytes_curve(execution: Execution, rounds: int) -> List[Tuple[int, int
     ]
 
 
-def bandwidth_sweep(specs, quotient=None) -> List[List[int]]:
+def bandwidth_sweep(specs, engine: EngineFlags = EngineFlags()) -> List[List[int]]:
     """Bandwidth curves for a grid of executions, in spec order.
 
     ``specs`` is a sequence of
     ``(algorithm_factory, network_factory, inputs, rounds)`` tuples —
     factories, so every run gets fresh algorithm state.
 
-    ``quotient=True`` runs each execution quotient-accelerated
-    (:class:`~repro.core.engine.quotient.QuotientExecution`); ``None``
-    defers to ``REPRO_QUOTIENT``.  Worst-case message size is a per-round
-    maximum over states, and the fibres cover every base class, so
-    base-run curves equal full-run curves exactly.
+    Each execution runs on the backend
+    :func:`~repro.core.engine.batch.select_backend` picks for
+    ``engine``.  The curves are the same on every backend: worst-case
+    message size is a per-round maximum over states, the fibres cover
+    every base class, and an observed vector round hands the observer
+    the object-level states.
     """
-    from repro.core.engine.quotient import quotient_enabled_by_env
-
-    if quotient is None:
-        quotient = quotient_enabled_by_env()
+    backend = select_backend(engine)
     return [
         bandwidth_curve(
-            Execution(
-                algorithm_factory(),
-                network_factory(),
-                inputs=list(inputs),
-                quotient=quotient,
-            ),
+            backend(algorithm_factory(), network_factory(), inputs=list(inputs)),
             rounds,
         )
         for algorithm_factory, network_factory, inputs, rounds in specs

@@ -18,7 +18,7 @@ audited without trusting the process that wrote it.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.analysis.provenance import ENGINE_VERSION, Manifest
 from repro.analysis.tables import (
@@ -28,6 +28,7 @@ from repro.analysis.tables import (
     reproduce_table2,
 )
 from repro.core.computability import computable_class
+from repro.core.engine import EngineFlags
 from repro.core.models import CommunicationModel
 from repro.core.network_class import Knowledge
 
@@ -47,8 +48,7 @@ def reproduction_certificate(
     n: int = 6,
     seed: int = 0,
     store=None,
-    quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
+    engine: EngineFlags = EngineFlags(),
 ) -> Dict[str, Any]:
     """Run both tables and assemble the certificate document.
 
@@ -56,23 +56,17 @@ def reproduction_certificate(
     per-cell manifests stay backend-free.  ``store`` follows the same
     contract as the table functions: individual cells are served from
     the durable result store when warm and persisted when cold.
-    ``quotient`` follows the tables' contract too (``None`` defers to
-    ``REPRO_QUOTIENT``); quotient and direct cells are byte-identical,
-    so it never appears in the document itself.  ``vector`` works the
-    same way for the vectorized numpy backend (``None`` defers to
-    ``REPRO_VECTOR``).
+    ``engine`` follows the tables' contract too: cells are
+    byte-identical on every backend, so it never appears in the
+    document itself.
     """
     table1 = [
         _cell_record(r)
-        for r in reproduce_table1(
-            n=n, seed=seed, store=store, quotient=quotient, vector=vector
-        )
+        for r in reproduce_table1(n=n, seed=seed, store=store, engine=engine)
     ]
     table2 = [
         _cell_record(r)
-        for r in reproduce_table2(
-            n=min(n, 6), seed=seed, store=store, quotient=quotient, vector=vector
-        )
+        for r in reproduce_table2(n=min(n, 6), seed=seed, store=store, engine=engine)
     ]
     all_cells = table1 + table2
     manifest = Manifest(kind="certificate", seed=seed, n=n, backend="sequential")

@@ -44,7 +44,7 @@ from repro.core.computability import (
     computable_class,
 )
 from repro.algorithms.push_sum import PushSumAlgorithm
-from repro.core.engine import BatchJob, PlanCache, run_batch
+from repro.core.engine import BatchJob, EngineFlags, PlanCache, run_batch
 from repro.core.models import CommunicationModel
 from repro.core.network_class import Knowledge
 from repro.core.memo import memoized, memoized_minimum_base
@@ -169,14 +169,12 @@ def _exact_job(algorithm, network, inputs, target, rounds, label="") -> BatchJob
 
 
 def _run_exact(
-    algorithm, network, inputs, target, rounds, plan_cache=None, quotient=None,
-    vector=None,
+    algorithm, network, inputs, target, rounds, plan_cache=None, engine=EngineFlags(),
 ) -> bool:
     (result,) = run_batch(
         [_exact_job(algorithm, network, inputs, target, rounds)],
         plan_cache=plan_cache,
-        quotient=quotient,
-        vector=vector,
+        engine=engine,
     )
     return result.converged
 
@@ -278,18 +276,16 @@ def run_static_cell(
     n: int = 6,
     seed: int = 0,
     plan_cache: Optional[PlanCache] = None,
-    quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
+    engine: EngineFlags = EngineFlags(),
 ) -> CellResult:
     """Reproduce one Table 1 cell experimentally.
 
     All positive probes of the cell go through :func:`run_batch` on a
     shared ``plan_cache``, so the cell's graph is compiled into a
-    delivery plan once for every probe that runs on it.  ``quotient``
-    opts the probes into (or out of) quotient-accelerated execution;
-    ``None`` defers to ``REPRO_QUOTIENT``.  ``vector`` does the same for
-    the vectorized numpy backend (``REPRO_VECTOR``).  Cell results and
-    manifests are identical in every mode.
+    delivery plan once for every probe that runs on it, on the backend
+    :func:`~repro.core.engine.batch.select_backend` picks for
+    ``engine``.  Cell results and manifests are identical on every
+    backend.
     """
     expected = computable_class(model, knowledge, dynamic=False)
     details: List[str] = []
@@ -307,8 +303,7 @@ def run_static_cell(
             MAXIMUM(inputs),
             _STATIC_ROUNDS,
             plan_cache=plan_cache,
-            quotient=quotient,
-            vector=vector,
+            engine=engine,
         )
         details.append(f"max via gossip: {'ok' if got_max else 'FAILED'}")
         refuted_freq = _broadcast_refutation(AVERAGE, knowledge)
@@ -343,8 +338,7 @@ def run_static_cell(
             for f, name in probes
         ],
         plan_cache=plan_cache,
-        quotient=quotient,
-        vector=vector,
+        engine=engine,
     )
     verdicts = {r.label: r.converged for r in results}
     got_max, got_avg = verdicts["max"], verdicts["average"]
@@ -378,8 +372,7 @@ def run_dynamic_cell(
     n: int = 5,
     seed: int = 0,
     plan_cache: Optional[PlanCache] = None,
-    quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
+    engine: EngineFlags = EngineFlags(),
 ) -> CellResult:
     """Reproduce one Table 2 cell experimentally.
 
@@ -399,7 +392,7 @@ def run_dynamic_cell(
         got_max = _run_exact(GossipAlgorithm(max), dyn,
                              [v[0] for v in run_inputs] if leader else run_inputs,
                              MAXIMUM(inputs), _STATIC_ROUNDS, plan_cache=plan_cache,
-                             quotient=quotient, vector=vector)
+                             engine=engine)
         refuted_freq = _broadcast_refutation(AVERAGE, knowledge)
         details.append(f"max via gossip: {'ok' if got_max else 'FAILED'}")
         details.append(
@@ -434,8 +427,7 @@ def run_dynamic_cell(
                 ),
             ],
             plan_cache=plan_cache,
-            quotient=quotient,
-            vector=vector,
+            engine=engine,
         )
         got_max, avg_report = max_result.converged, avg_result.report
         refuted_sum = _sum_refutation(model)
@@ -501,8 +493,7 @@ def run_dynamic_cell(
             for f, name in probes
         ],
         plan_cache=plan_cache,
-        quotient=quotient,
-        vector=vector,
+        engine=engine,
     )
     verdicts = {r.label: r.converged for r in results}
     got_max, got_avg = verdicts["max"], verdicts["average"]
@@ -553,25 +544,23 @@ def compute_cell(
     seed: int,
     plan_cache: Optional[PlanCache] = None,
     store=None,
-    quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
+    engine: EngineFlags = EngineFlags(),
 ) -> CellResult:
     """One table cell, served from the durable result store when warm.
 
     ``store`` is a :class:`repro.store.cache.ResultStore` (or ``None``
     for compute-always).  Store keys bind the cell parameters *and* the
     engine generation; a corrupted entry is quarantined and recomputed,
-    never served.  ``quotient`` and ``vector`` are deliberately *not*
-    part of the store key: accelerated and direct probes produce
-    byte-identical payloads (the Lifting lemma's contract and the vector
-    backend's faithfulness contract, both pinned by the property suite),
-    so any mode may serve another's cache.
+    never served.  ``engine`` is deliberately *not* part of the store
+    key: accelerated and direct probes produce byte-identical payloads
+    (the Lifting lemma's contract and the vector backend's faithfulness
+    contract, both pinned by the property suite), so any mode may serve
+    another's cache.
     """
     def compute() -> CellResult:
         runner = run_dynamic_cell if dynamic else run_static_cell
         return runner(
-            model, knowledge, n=n, seed=seed, plan_cache=plan_cache,
-            quotient=quotient, vector=vector,
+            model, knowledge, n=n, seed=seed, plan_cache=plan_cache, engine=engine,
         )
 
     if store is None:
@@ -597,8 +586,7 @@ def compute_cell(
 def _run_cells(
     specs,
     store=None,
-    quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
+    engine: EngineFlags = EngineFlags(),
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[CellResult]:
     """Run table cells in spec order on one shared plan cache; ``store``
@@ -611,7 +599,7 @@ def _run_cells(
         results.append(
             compute_cell(
                 dynamic, model, knowledge, n, seed, plan_cache=plan_cache,
-                store=store, quotient=quotient, vector=vector,
+                store=store, engine=engine,
             )
         )
         if progress is not None:
@@ -623,8 +611,7 @@ def reproduce_table1(
     n: int = 6,
     seed: int = 0,
     store=None,
-    quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
+    engine: EngineFlags = EngineFlags(),
 ) -> List[CellResult]:
     """Run all 16 static cells.
 
@@ -637,16 +624,15 @@ def reproduce_table1(
     ``store=None`` defers to the ``REPRO_STORE`` environment variable
     (no store when unset).
 
-    ``quotient=True`` runs every probe quotient-accelerated (identical
-    cells, faster rounds on symmetric probe graphs); ``None`` defers to
-    ``REPRO_QUOTIENT``.  ``vector=True`` runs kernel-backed probes on the
-    vectorized numpy engine instead (``None`` defers to
-    ``REPRO_VECTOR``)."""
+    ``engine`` picks the backend every probe runs on
+    (:func:`~repro.core.engine.batch.select_backend`): the quotient
+    backend gives identical cells with faster rounds on symmetric probe
+    graphs, the vector backend runs kernel-backed probes as numpy
+    rounds."""
     from repro.store.cache import resolve_store
 
     return _run_cells(
-        table_specs(False, n, seed), store=resolve_store(store),
-        quotient=quotient, vector=vector,
+        table_specs(False, n, seed), store=resolve_store(store), engine=engine,
     )
 
 
@@ -654,18 +640,16 @@ def reproduce_table2(
     n: int = 5,
     seed: int = 0,
     store=None,
-    quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
+    engine: EngineFlags = EngineFlags(),
 ) -> List[CellResult]:
-    """Run all 12 dynamic cells; same ``store``/``quotient``/``vector``
-    contract as :func:`reproduce_table1` (quotient probes fall back to
-    direct execution on dynamic graphs — the knobs are still honored for
-    the static refutation probes and the kernel-backed dynamic probes)."""
+    """Run all 12 dynamic cells; same ``store``/``engine`` contract as
+    :func:`reproduce_table1` (quotient probes fall back to direct
+    execution on dynamic graphs; the vector backend still runs the
+    kernel-backed dynamic probes)."""
     from repro.store.cache import resolve_store
 
     return _run_cells(
-        table_specs(True, n, seed), store=resolve_store(store),
-        quotient=quotient, vector=vector,
+        table_specs(True, n, seed), store=resolve_store(store), engine=engine,
     )
 
 
@@ -674,8 +658,7 @@ def paper_table_document(
     n: Optional[int] = None,
     seed: int = 0,
     store=None,
-    quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
+    engine: EngineFlags = EngineFlags(),
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Dict[str, Any]:
     """The deterministic document of one paper table — the one builder
@@ -685,9 +668,9 @@ def paper_table_document(
     Assembles :func:`repro.store.jobs.table_document` over the
     :func:`cell_to_payload` records, in :func:`table_specs` order — so a
     scenario config, a ``store submit table1`` job, and a direct
-    ``reproduce_table1`` call all emit byte-identical documents (engine
-    modes included: quotient/vector change how cells are computed,
-    never their payloads).
+    ``reproduce_table1`` call all emit byte-identical documents (on every
+    backend: ``engine`` changes how cells are computed, never their
+    payloads).
 
     ``progress(done, total)`` — when given — is invoked after every
     finished cell; the durable job runners heartbeat their queue lease
@@ -703,7 +686,7 @@ def paper_table_document(
         n = 5 if dynamic else 6
     results = _run_cells(
         table_specs(dynamic, n, seed), store=resolve_store(store),
-        quotient=quotient, vector=vector, progress=progress,
+        engine=engine, progress=progress,
     )
     return table_document(
         f"table{table}", n, seed, [cell_to_payload(r) for r in results]

@@ -18,6 +18,13 @@ Results come back in job order as :class:`BatchResult` records carrying
 the finished execution (observers still attached) and, for the detector
 runners, the :class:`~repro.core.convergence.ConvergenceReport`.
 
+Which backend runs the jobs is one value, :class:`EngineFlags`, and one
+function resolves it, :func:`select_backend`.  Every backend emits the
+object run's outputs (the Lifting lemma for the quotient backend, the
+faithfulness contract for the vector backend), so the choice changes
+speed, never a result, and every harness layer passes it through as
+``engine=EngineFlags(...)``.
+
 A batch always runs in the calling process.  Parallelism lives one
 level up: independent jobs submitted to ``store run --pools N`` or
 ``serve --pools N`` run side by side in the orchestrator's pools.
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.agent import Algorithm
 from repro.envflags import env_flag
@@ -35,6 +42,50 @@ from repro.core.engine.instrumentation import RoundObserver
 from repro.core.engine.plan import PlanCache
 
 _RUNNERS = ("rounds", "stable", "asymptotic")
+
+
+@dataclass(frozen=True)
+class EngineFlags:
+    """Which execution backend runs.  ``True``/``False`` forces the
+    quotient or vector backend on or off; ``None`` defers to
+    ``REPRO_QUOTIENT`` / ``REPRO_VECTOR`` (see :func:`select_backend`)."""
+
+    quotient: Optional[bool] = None
+    vector: Optional[bool] = None
+
+
+def select_backend(engine: EngineFlags = EngineFlags()) -> type:
+    """The execution class ``engine`` selects: ``Execution``,
+    ``QuotientExecution`` or ``VectorExecution``.
+
+    Each flag left ``None`` reads its environment variable
+    (``REPRO_QUOTIENT``, ``REPRO_VECTOR``; spellings as in
+    :mod:`repro.envflags`), and an explicit value wins over it.  When
+    both resolve on, quotient wins: a quotient-active run already
+    simulates only the base.  Either backend still checks at
+    construction whether it applies to the run and falls back to the
+    object stepper when it does not (``quotient_fallback_reason`` /
+    ``vector_fallback_reason``).
+    """
+    quotient = engine.quotient
+    if quotient is None:
+        quotient = env_flag("REPRO_QUOTIENT")
+    if quotient:
+        # Imported here: the backends subclass the Execution façade,
+        # which imports this package.
+        from repro.core.engine.quotient import QuotientExecution
+
+        return QuotientExecution
+    vector = engine.vector
+    if vector is None:
+        vector = env_flag("REPRO_VECTOR")
+    if vector:
+        from repro.core.engine.vector import VectorExecution
+
+        return VectorExecution
+    from repro.core.execution import Execution
+
+    return Execution
 
 
 @dataclass
@@ -47,19 +98,6 @@ class BatchJob:
     initial_states: Optional[Sequence[Any]] = None
     scramble_seed: Optional[int] = 0
     check_model: bool = True
-    #: ``True``/``False`` forces quotient-accelerated execution on/off for
-    #: this job; ``None`` defers to ``REPRO_QUOTIENT=1`` in the environment.
-    #: Quotient runs fall back to direct execution whenever the Lifting
-    #: lemma does not apply (see :mod:`repro.core.engine.quotient`), so
-    #: results are identical either way — only the speed changes.
-    quotient: Optional[bool] = None
-    quotient_ratio: Optional[float] = None
-    #: ``True``/``False`` forces the vectorized numpy backend on/off for
-    #: this job; ``None`` defers to ``REPRO_VECTOR=1`` in the environment.
-    #: Vector runs fall back to the object stepper whenever the algorithm
-    #: has no registered kernel (see :mod:`repro.core.engine.vector`), and
-    #: an active ``quotient`` wins when both are requested.
-    vector: Optional[bool] = None
     runner: str = "rounds"
     rounds: int = 0
     patience: int = 5
@@ -106,8 +144,9 @@ class BatchResult:
         return self.job.label
 
 
-def _execute_job(job: BatchJob, cache: PlanCache) -> BatchResult:
-    """Run one job to completion on the given plan cache.
+def _execute_job(job: BatchJob, cache: PlanCache, backend: type) -> BatchResult:
+    """Run one job to completion on the given plan cache, as an
+    execution of class ``backend``.
 
     Observers that also speak the plan-cache tracing protocol (an
     ``on_plan_event`` method, i.e. :class:`repro.core.engine.trace.Tracer`)
@@ -117,28 +156,15 @@ def _execute_job(job: BatchJob, cache: PlanCache) -> BatchResult:
     """
     # Imported here: the execution façade sits on top of this package.
     from repro.core.convergence import run_until_asymptotic, run_until_stable
-    from repro.core.execution import Execution
     from repro.core.metrics import euclidean_metric
 
-    from repro.core.engine.quotient import quotient_enabled_by_env
-    from repro.core.engine.vector import vector_enabled_by_env
-
-    quotient = job.quotient
-    if quotient is None:
-        quotient = quotient_enabled_by_env()
-    vector = job.vector
-    if vector is None:
-        vector = vector_enabled_by_env()
-    execution = Execution(
+    execution = backend(
         job.algorithm,
         job.network,
         inputs=job.inputs,
         initial_states=job.initial_states,
         scramble_seed=job.scramble_seed,
         check_model=job.check_model,
-        quotient=quotient,
-        quotient_ratio=job.quotient_ratio,
-        vector=vector,
     )
     execution.share_plan_cache(cache)
     plan_hooks = []
@@ -183,8 +209,7 @@ def _execute_job(job: BatchJob, cache: PlanCache) -> BatchResult:
 def run_batch(
     jobs: Sequence[BatchJob],
     plan_cache: Optional[PlanCache] = None,
-    quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
+    engine: EngineFlags = EngineFlags(),
 ) -> List[BatchResult]:
     """Run every job in this process, in job order, sharing compiled
     delivery plans across the batch.
@@ -192,11 +217,8 @@ def run_batch(
     Pass an explicit ``plan_cache`` to share plans beyond one call — the
     table harness reuses a single cache across all cells of a table.
 
-    ``quotient`` (``True``/``False``) overrides the quotient-execution
-    default for every job that did not set its own ``BatchJob.quotient``;
-    ``None`` leaves the per-job settings (and thus the ``REPRO_QUOTIENT``
-    environment default) in force.  ``vector`` does the same for the
-    vectorized backend and ``BatchJob.vector`` / ``REPRO_VECTOR``.
+    Every job runs on the backend :func:`select_backend` picks for
+    ``engine``, resolved once for the batch.
 
     ``REPRO_PARALLEL`` selects nothing; a truthy value warns.
     """
@@ -207,17 +229,6 @@ def run_batch(
             "`store run --pools N` or `serve --pools N`",
             UserWarning,
         )
-    if quotient is not None or vector is not None:
-        from dataclasses import replace
-
-        def _overridden(job: BatchJob) -> BatchJob:
-            overrides = {}
-            if quotient is not None and job.quotient is None:
-                overrides["quotient"] = quotient
-            if vector is not None and job.vector is None:
-                overrides["vector"] = vector
-            return replace(job, **overrides) if overrides else job
-
-        jobs = [_overridden(job) for job in jobs]
+    backend = select_backend(engine)
     cache = plan_cache if plan_cache is not None else PlanCache()
-    return [_execute_job(job, cache) for job in jobs]
+    return [_execute_job(job, cache, backend) for job in jobs]

@@ -50,8 +50,7 @@ names the fallback:
   raises; only unequal states whose canonical reprs collide get here) —
   such a configuration is outside the image of the lift;
 * the base is trivial (as many classes as vertices), or ``base.n / g.n``
-  is above the ratio threshold (default ``0.5``, overridable per call or
-  via ``REPRO_QUOTIENT_RATIO``);
+  is above :data:`QUOTIENT_RATIO`;
 * the model sees outdegrees but the fibration does not preserve them
   (``outdeg_G(v) != outdeg_B(φ(v))`` for some ``v``);
 * ``check_model`` is requested and the *full* graph violates the model's
@@ -80,36 +79,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.execution import Execution
-from repro.envflags import env_flag, env_float
 from repro.graphs.digraph import DiGraph
 
-#: Default activation threshold: fall back when base.n/g.n exceeds this.
-DEFAULT_QUOTIENT_RATIO = 0.5
-
-#: Environment knobs: ``REPRO_QUOTIENT=1`` turns quotient execution on by
-#: default for the batch/table/CLI entry points; ``REPRO_QUOTIENT_RATIO``
-#: overrides the activation threshold.
-QUOTIENT_ENV = "REPRO_QUOTIENT"
-QUOTIENT_RATIO_ENV = "REPRO_QUOTIENT_RATIO"
+#: Activation threshold: fall back when base.n/g.n exceeds this.  It
+#: decides only which runs activate, never an output.
+QUOTIENT_RATIO = 0.5
 
 _STATS: Dict[str, int] = {"activations": 0, "fallbacks": 0, "lifts": 0}
 _FALLBACK_REASONS: Dict[str, int] = {}
-
-
-def quotient_enabled_by_env() -> bool:
-    """Whether ``REPRO_QUOTIENT`` turns quotient execution on by default
-    (shared truthy/falsy spellings — see :mod:`repro.envflags`)."""
-    return env_flag(QUOTIENT_ENV, default=False)
-
-
-def default_quotient_ratio() -> float:
-    """The activation threshold: ``REPRO_QUOTIENT_RATIO`` or 0.5.
-
-    Read through :func:`~repro.envflags.env_float`: an unparsable,
-    non-finite or negative value yields the default, so ``nan`` cannot
-    let every base activate and ``-1`` cannot make every base too large.
-    """
-    return env_float(QUOTIENT_RATIO_ENV, DEFAULT_QUOTIENT_RATIO, minimum=0.0)
 
 
 def clear_quotient_stats() -> None:
@@ -148,50 +125,27 @@ def _record_fallback(reason: str) -> str:
 class QuotientExecution(Execution):
     """An :class:`Execution` that transparently runs on the minimum base.
 
-    Construct it directly, or — equivalently — via
-    ``Execution(..., quotient=True)``.  The full façade behaves exactly
-    like a direct execution; ``quotient_active`` reports whether the
-    activation checks passed, ``quotient_fallback_reason`` names the
-    first one that failed, ``base_execution`` and ``minimum_base`` expose
-    the machinery for inspection.
+    Construct it directly, or through
+    :func:`~repro.core.engine.batch.select_backend`.  The full façade
+    behaves exactly like a direct execution; ``quotient_active`` reports
+    whether the activation checks passed, ``quotient_fallback_reason``
+    names the first one that failed, ``base_execution`` and
+    ``minimum_base`` expose the machinery for inspection.
     """
 
-    def __init__(
-        self,
-        algorithm,
-        network,
-        inputs: Optional[Sequence[Any]] = None,
-        initial_states: Optional[Sequence[Any]] = None,
-        scramble_seed: Optional[int] = 0,
-        check_model: bool = True,
-        *,
-        quotient: bool = True,
-        quotient_ratio: Optional[float] = None,
-        vector: bool = False,
-    ):
-        del vector  # quotient takes precedence when both are requested
-        super().__init__(
-            algorithm,
-            network,
-            inputs=inputs,
-            initial_states=initial_states,
-            scramble_seed=scramble_seed,
-            check_model=check_model,
-        )
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
         self.minimum_base = None
         self.base_execution: Optional[Execution] = None
         self.quotient_fallback_reason: Optional[str] = None
         self._lifted_round = 0  # full stepper holds the round-0 states
-        if quotient:
-            self._activate(quotient_ratio)
-        else:
-            self.quotient_fallback_reason = _record_fallback("disabled")
+        self._activate()
 
     # ------------------------------------------------------------------ #
     # activation
     # ------------------------------------------------------------------ #
 
-    def _activate(self, quotient_ratio: Optional[float]) -> None:
+    def _activate(self) -> None:
         """Run the activation checks; on success build the base execution.
 
         The decision is made on class lists: the initial states are
@@ -253,11 +207,10 @@ class QuotientExecution(Execution):
                 )
                 return
         base_n = len(base_states)
-        ratio = default_quotient_ratio() if quotient_ratio is None else float(quotient_ratio)
         if base_n >= graph.n:
             self.quotient_fallback_reason = _record_fallback("trivial-base")
             return
-        if base_n / graph.n > ratio:
+        if base_n / graph.n > QUOTIENT_RATIO:
             self.quotient_fallback_reason = _record_fallback("base-too-large")
             return
         # The refiner certified the partition decided on above.

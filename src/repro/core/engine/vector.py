@@ -19,10 +19,10 @@ arrays (CSR over receivers), cached on the plan object so it amortizes
 exactly as plans do — once per distinct round graph, shared through the
 memo layer by content fingerprint.
 
-:class:`VectorExecution` is the façade: construct via
-``Execution(..., vector=True)`` (or export ``REPRO_VECTOR=1`` for the
-batch/table/CLI entry points).  At construction it resolves a
-:class:`VectorKernel` for the algorithm from the registry
+:class:`VectorExecution` is the façade: construct it directly, or pick
+it with ``EngineFlags(vector=True)`` or ``REPRO_VECTOR=1`` through
+:func:`~repro.core.engine.batch.select_backend`.  At construction it
+resolves a :class:`VectorKernel` for the algorithm from the registry
 (:func:`register_kernel` / :func:`kernel_for`) and packs the state
 vector; every ``step`` then runs entirely in numpy, and the object-level
 states materialize lazily only when somebody reads ``states`` /
@@ -74,12 +74,6 @@ from repro.core.engine.instrumentation import RoundRecord
 from repro.core.engine.plan import DeliveryPlan
 from repro.core.execution import Execution
 from repro.core.metrics import canonical_repr
-from repro.envflags import env_flag
-
-#: Environment knob: any truthy spelling (see :mod:`repro.envflags`)
-#: turns the vector backend on by default for batch/table/CLI entry
-#: points, mirroring ``REPRO_QUOTIENT``.
-VECTOR_ENV = "REPRO_VECTOR"
 
 _STATS: Dict[str, int] = {
     "activations": 0,
@@ -93,11 +87,6 @@ _FALLBACK_REASONS: Dict[str, int] = {}
 def numpy_available() -> bool:
     """Whether numpy imported (the backend is inert without it)."""
     return _np is not None
-
-
-def vector_enabled_by_env() -> bool:
-    """Whether ``REPRO_VECTOR`` turns the vector backend on by default."""
-    return env_flag(VECTOR_ENV, default=False)
 
 
 def clear_vector_stats() -> None:
@@ -563,45 +552,22 @@ class FrequencyKernel(VectorKernel):
 class VectorExecution(Execution):
     """An :class:`Execution` whose rounds run as numpy kernels.
 
-    Construct directly, or — equivalently — via
-    ``Execution(..., vector=True)``.  The full façade behaves exactly
-    like a direct execution; ``vector_active`` reports whether a kernel
-    was resolved and the states packed, ``vector_fallback_reason`` names
-    the first activation check that failed, ``kernel`` exposes the live
-    kernel for inspection.
+    Construct it directly, or through
+    :func:`~repro.core.engine.batch.select_backend`.  The full façade
+    behaves exactly like a direct execution; ``vector_active`` reports
+    whether a kernel was resolved and the states packed,
+    ``vector_fallback_reason`` names the first activation check that
+    failed, ``kernel`` exposes the live kernel for inspection.
     """
 
-    def __init__(
-        self,
-        algorithm,
-        network,
-        inputs: Optional[Sequence[Any]] = None,
-        initial_states: Optional[Sequence[Any]] = None,
-        scramble_seed: Optional[int] = 0,
-        check_model: bool = True,
-        *,
-        vector: bool = True,
-        quotient: bool = False,
-        quotient_ratio: Optional[float] = None,
-    ):
-        del quotient, quotient_ratio  # quotient wins in Execution.__new__
-        super().__init__(
-            algorithm,
-            network,
-            inputs=inputs,
-            initial_states=initial_states,
-            scramble_seed=scramble_seed,
-            check_model=check_model,
-        )
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
         self.kernel: Optional[VectorKernel] = None
         self.vector_fallback_reason: Optional[str] = None
         self._packed = None
         self._vector_round = 0
         self._synced_round = 0  # round whose states the stepper holds
-        if vector:
-            self._activate()
-        else:
-            self.vector_fallback_reason = _record_fallback("disabled")
+        self._activate()
 
     # -- activation ----------------------------------------------------- #
 

@@ -55,44 +55,13 @@ class Execution:
         Verify per round that the network satisfies the model's class
         constraints (symmetry for ``SYMMETRIC``, staticity for
         ``OUTPUT_PORT_AWARE``).
-    quotient:
-        ``Execution(..., quotient=True)`` constructs a
-        :class:`~repro.core.engine.quotient.QuotientExecution` instead —
-        same façade, same trajectory, but rounds run on the memoized
-        minimum base and states lift lazily (falling back to direct
-        execution when the Lifting lemma does not apply; see that module
-        for the activation rules).  ``quotient_ratio`` overrides its
-        base-size activation threshold.
-    vector:
-        ``Execution(..., vector=True)`` constructs a
-        :class:`~repro.core.engine.vector.VectorExecution` instead — same
-        façade, same trajectory, but rounds run as numpy kernels for the
-        algorithm families that have one (set flooding, Push-Sum and its
-        variants, Metropolis), falling back to the object stepper for
-        everything else.  When ``quotient`` is also requested it takes
-        precedence (a quotient-active run already simulates only the
-        base; vectorizing it too buys little and would double the state
-        bookkeeping).
+
+    The quotient and vector backends
+    (:class:`~repro.core.engine.quotient.QuotientExecution`,
+    :class:`~repro.core.engine.vector.VectorExecution`) subclass this
+    façade with the same constructor and trajectory;
+    :func:`~repro.core.engine.batch.select_backend` picks one.
     """
-
-    def __new__(
-        cls,
-        *args: Any,
-        quotient: bool = False,
-        quotient_ratio: Optional[float] = None,
-        vector: bool = False,
-        **kwargs: Any,
-    ):
-        if cls is Execution and quotient:
-            # Imported lazily: the quotient layer subclasses this façade.
-            from repro.core.engine.quotient import QuotientExecution
-
-            return super().__new__(QuotientExecution)
-        if cls is Execution and vector:
-            from repro.core.engine.vector import VectorExecution
-
-            return super().__new__(VectorExecution)
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -102,12 +71,7 @@ class Execution:
         initial_states: Optional[Sequence[Any]] = None,
         scramble_seed: Optional[int] = 0,
         check_model: bool = True,
-        *,
-        quotient: bool = False,
-        quotient_ratio: Optional[float] = None,
-        vector: bool = False,
     ):
-        del quotient, quotient_ratio, vector  # consumed by __new__ / the subclass
         self.algorithm = algorithm
         if isinstance(network, DiGraph):
             self.network: DynamicGraph = StaticAsDynamic(network)

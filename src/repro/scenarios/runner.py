@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.engine import ENGINE_VERSION, BatchJob, PlanCache, run_batch
+from repro.core.engine import ENGINE_VERSION, BatchJob, EngineFlags, PlanCache, run_batch
 from repro.scenarios.registry import GRAPH_FAMILIES, INPUT_PATTERNS, PROBES, SCENARIO_VERSION
 from repro.scenarios.schema import Scenario
 
@@ -84,8 +84,7 @@ def compute_grid_row(
     probe_name: str,
     plan_cache: Optional[PlanCache] = None,
     store=None,
-    quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
+    engine: EngineFlags = EngineFlags(),
     on_trace: Optional[Callable[[Dict[str, Any], List[Dict[str, Any]]], None]] = None,
     memo: Optional[Dict[Tuple[Any, ...], Any]] = None,
 ) -> Dict[str, Any]:
@@ -137,9 +136,7 @@ def compute_grid_row(
 
             tracer = Tracer()
             job.observers.append(tracer)
-        (result,) = run_batch(
-            [job], plan_cache=plan_cache, quotient=quotient, vector=vector
-        )
+        (result,) = run_batch([job], plan_cache=plan_cache, engine=engine)
         snapshots = None
         if tracer is not None:
             snapshots = [
@@ -250,7 +247,6 @@ def run_scenario(
     from repro.store.cache import resolve_store
 
     store = resolve_store(store)
-    engine = scenario.engine
     if scenario.kind == "table":
         from repro.analysis.tables import paper_table_document
 
@@ -259,8 +255,7 @@ def run_scenario(
             n=scenario.n,
             seed=scenario.seed,
             store=store,
-            quotient=engine.quotient,
-            vector=engine.vector,
+            engine=scenario.engine,
             progress=progress,
         )
 
@@ -272,8 +267,7 @@ def run_scenario(
         rows.append(
             compute_grid_row(
                 scenario, family, n, seed, probe, plan_cache=plan_cache,
-                store=store, quotient=engine.quotient, vector=engine.vector,
-                on_trace=on_trace, memo=memo,
+                store=store, engine=scenario.engine, on_trace=on_trace, memo=memo,
             )
         )
         if progress is not None:

@@ -13,10 +13,11 @@ workload.  Two kinds exist:
   document) and ``output.title``.
 
 Both kinds take an optional ``engine`` block (``quotient`` /
-``vector``) selecting *how* the scenario runs, never
-what it computes: engine flags are excluded from :meth:`Scenario.identity`
-— and hence from store keys and emitted documents — so every engine mode
-produces byte-identical output.
+``vector``, validated into :class:`~repro.core.engine.batch.EngineFlags`)
+selecting *how* the scenario runs, never what it computes: engine flags
+are excluded from :meth:`Scenario.identity` — and hence from store keys
+and emitted documents — so every engine mode produces byte-identical
+output.
 
 Validation is strict and total: unknown keys, wrong types, out-of-range
 values, unknown registry names, and incoherent engine-flag combinations
@@ -26,9 +27,10 @@ the offending key and the source file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.engine import EngineFlags
 from repro.core.models import CommunicationModel
 from repro.core.network_class import Knowledge
 from repro.scenarios.errors import ScenarioSchemaError
@@ -41,24 +43,6 @@ _GRID_KEYS = frozenset(
 )
 _ENGINE_KEYS = frozenset({"quotient", "vector"})
 _OUTPUT_KEYS = frozenset({"title"})
-
-
-@dataclass(frozen=True)
-class EngineFlags:
-    """How a scenario executes.  ``None`` defers to the environment
-    defaults (``REPRO_QUOTIENT`` / ``REPRO_VECTOR``), exactly like the
-    harness entry points."""
-
-    quotient: Optional[bool] = None
-    vector: Optional[bool] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        for name in ("quotient", "vector"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
 
 
 @dataclass(frozen=True)
@@ -129,7 +113,7 @@ class Scenario:
         out.pop("title", None)
         if self.title is not None:
             out["output"] = {"title": self.title}
-        engine = self.engine.to_dict()
+        engine = {k: v for k, v in asdict(self.engine).items() if v is not None}
         if engine:
             out["engine"] = engine
         return out

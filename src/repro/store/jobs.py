@@ -34,7 +34,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Union
 
-from repro.core.engine import ENGINE_VERSION
+from repro.core.engine import ENGINE_VERSION, EngineFlags
 from repro.store.cache import ResultStore, canonical_params, result_key
 from repro.store.events import JobEventLog
 from repro.store.scheduler import JobQueue, JobRecord
@@ -147,6 +147,16 @@ def table_document(
     }
 
 
+def _engine_flags(params: Dict[str, Any]) -> EngineFlags:
+    """The engine flags a table or certificate job carries in its params.
+
+    Quotient/vector acceleration changes how cells are computed, never
+    what they contain, so both ride in the job params but stay out of
+    the document key and the cell store keys: warm caches serve every
+    mode."""
+    return EngineFlags(quotient=params.get("quotient"), vector=params.get("vector"))
+
+
 def _run_table_job(queue: JobQueue, store: ResultStore, record: JobRecord) -> str:
     from repro.analysis.tables import paper_table_document
 
@@ -158,12 +168,9 @@ def _run_table_job(queue: JobQueue, store: ResultStore, record: JobRecord) -> st
     def progress(done: int, total: int) -> None:
         _unit_progress(queue, log, record, done, total)
 
-    # Quotient/vector acceleration changes how cells are computed, never
-    # what they contain, so both ride in the job params but stay out of
-    # the document key / cell store keys — warm caches serve every mode.
     doc = paper_table_document(
-        table, n, seed, store=store, quotient=record.params.get("quotient"),
-        vector=record.params.get("vector"), progress=progress,
+        table, n, seed, store=store, engine=_engine_flags(record.params),
+        progress=progress,
     )
     params = {"n": n, "seed": seed}
     key = document_key(record.kind, params)
@@ -180,11 +187,7 @@ def _run_certificate_job(queue: JobQueue, store: ResultStore, record: JobRecord)
     # The certificate reuses every table cell already in the store, so a
     # retried certificate job recomputes nothing that survived the crash.
     doc = reproduction_certificate(
-        n=n,
-        seed=seed,
-        store=store,
-        quotient=record.params.get("quotient"),
-        vector=record.params.get("vector"),
+        n=n, seed=seed, store=store, engine=_engine_flags(record.params)
     )
     params = {"n": n, "seed": seed}
     key = document_key("certificate", params)

@@ -195,31 +195,37 @@ class TestConsumers:
 
     @pytest.mark.parametrize("raw", ["0", "false", ""])
     def test_quotient_disable_spellings(self, monkeypatch, raw):
-        from repro.core.engine.quotient import quotient_enabled_by_env
+        from repro.core.engine import select_backend
+        from repro.core.execution import Execution
 
+        monkeypatch.delenv("REPRO_VECTOR", raising=False)
         monkeypatch.setenv("REPRO_QUOTIENT", raw)
-        assert quotient_enabled_by_env() is False
+        assert select_backend() is Execution
 
     def test_quotient_enable_spellings(self, monkeypatch):
-        from repro.core.engine.quotient import quotient_enabled_by_env
+        from repro.core.engine import QuotientExecution, select_backend
 
+        monkeypatch.delenv("REPRO_VECTOR", raising=False)
         for raw in ("1", "on", "True"):
             monkeypatch.setenv("REPRO_QUOTIENT", raw)
-            assert quotient_enabled_by_env() is True
+            assert select_backend() is QuotientExecution
 
     @pytest.mark.parametrize("raw", ["0", "false", ""])
     def test_vector_disable_spellings(self, monkeypatch, raw):
-        from repro.core.engine.vector import vector_enabled_by_env
+        from repro.core.engine import select_backend
+        from repro.core.execution import Execution
 
+        monkeypatch.delenv("REPRO_QUOTIENT", raising=False)
         monkeypatch.setenv("REPRO_VECTOR", raw)
-        assert vector_enabled_by_env() is False
+        assert select_backend() is Execution
 
     def test_vector_enable_spellings(self, monkeypatch):
-        from repro.core.engine.vector import vector_enabled_by_env
+        from repro.core.engine import VectorExecution, select_backend
 
+        monkeypatch.delenv("REPRO_QUOTIENT", raising=False)
         for raw in ("1", "yes", "ON"):
             monkeypatch.setenv("REPRO_VECTOR", raw)
-            assert vector_enabled_by_env() is True
+            assert select_backend() is VectorExecution
 
     def test_store_env_empty_means_no_store(self, monkeypatch):
         from repro.store.cache import STORE_ENV, default_store

@@ -26,11 +26,9 @@ from repro.core.execution import Execution
 from repro.graphs.builders import bidirectional_ring, random_strongly_connected
 
 
-def _traced_run(rounds, ring_capacity=DEFAULT_RING_CAPACITY, n=6, vector=False):
+def _traced_run(rounds, ring_capacity=DEFAULT_RING_CAPACITY, n=6):
     g = random_strongly_connected(n, seed=1)
-    ex = Execution(
-        PushSumAlgorithm(), g, inputs=[float(v + 1) for v in range(n)], vector=vector
-    )
+    ex = Execution(PushSumAlgorithm(), g, inputs=[float(v + 1) for v in range(n)])
     tracer = Tracer(ring_capacity=ring_capacity)
     trace_execution(ex, rounds=rounds, tracer=tracer)
     return tracer

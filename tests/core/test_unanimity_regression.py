@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.algorithms.gossip import GossipAlgorithm
 from repro.core.agent import BroadcastAlgorithm
 from repro.core.convergence import run_until_stable
+from repro.core.engine.vector import VectorExecution
 from repro.core.execution import Execution
 from repro.core.metrics import canonical_repr
 from repro.graphs.builders import bidirectional_ring, complete_graph, directed_ring
@@ -163,9 +164,9 @@ class TestStopsOnceKnown:
             return max(values)
 
         n = 64
-        ex = Execution(
+        ex = VectorExecution(
             GossipAlgorithm(counting_max), bidirectional_ring(n),
-            inputs=[1] + [0] * (n - 1), vector=True,
+            inputs=[1] + [0] * (n - 1),
         )
         assert ex.vector_active
         unanimous_rounds = 0

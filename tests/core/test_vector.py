@@ -16,6 +16,7 @@ import pytest
 from repro.algorithms import GossipAlgorithm, MetropolisAlgorithm, PushSumAlgorithm
 from repro.algorithms.push_sum_frequency import PushSumFrequencyAlgorithm
 from repro.core.convergence import run_until_stable
+from repro.core.engine.batch import EngineFlags, select_backend
 from repro.core.engine.plan import compile_plan
 from repro.core.engine.trace import trace_execution
 from repro.core.engine.vector import (
@@ -157,7 +158,8 @@ class TestKernelRegistry:
 class TestActivation:
     def test_execution_facade_dispatch(self):
         g = bidirectional_ring(6)
-        ex = Execution(GossipAlgorithm(max), g, inputs=list(range(6)), vector=True)
+        backend = select_backend(EngineFlags(quotient=False, vector=True))
+        ex = backend(GossipAlgorithm(max), g, inputs=list(range(6)))
         assert isinstance(ex, VectorExecution)
         assert ex.vector_active
         assert vector_stats()["activations"] == 1
@@ -166,9 +168,8 @@ class TestActivation:
         from repro.core.engine.quotient import QuotientExecution
 
         g = bidirectional_ring(6)
-        ex = Execution(
-            GossipAlgorithm(max), g, inputs=[1] * 6, quotient=True, vector=True
-        )
+        backend = select_backend(EngineFlags(quotient=True, vector=True))
+        ex = backend(GossipAlgorithm(max), g, inputs=[1] * 6)
         assert isinstance(ex, QuotientExecution)
 
     def test_no_kernel_falls_back(self):
@@ -177,7 +178,7 @@ class TestActivation:
                 return super().transition(state, received)
 
         g = bidirectional_ring(4)
-        ex = Execution(Tweaked(), g, inputs=[1.0] * 4, vector=True)
+        ex = VectorExecution(Tweaked(), g, inputs=[1.0] * 4)
         assert isinstance(ex, VectorExecution)
         assert not ex.vector_active
         assert ex.vector_fallback_reason == "no-kernel"
@@ -192,15 +193,13 @@ class TestActivation:
     def test_pack_failure_falls_back(self):
         g = bidirectional_ring(4)
         # Gossip states must be sets; a scalar initial state can't pack.
-        ex = Execution(
-            GossipAlgorithm(max), g, initial_states=[1, 2, 3, 4], vector=True
-        )
+        ex = VectorExecution(GossipAlgorithm(max), g, initial_states=[1, 2, 3, 4])
         assert not ex.vector_active
         assert ex.vector_fallback_reason == "pack-failed"
 
     def test_round_counters_split_observed(self):
         g = bidirectional_ring(5)
-        ex = Execution(GossipAlgorithm(max), g, inputs=list(range(5)), vector=True)
+        ex = VectorExecution(GossipAlgorithm(max), g, inputs=list(range(5)))
         ex.run(3)
         assert vector_stats()["vector_rounds"] == 3
 
@@ -216,9 +215,7 @@ class TestActivation:
 class TestStateSync:
     def test_states_setter_repacks(self):
         g = bidirectional_ring(4)
-        ex = Execution(
-            GossipAlgorithm(max), g, inputs=[1, 2, 3, 4], vector=True
-        )
+        ex = VectorExecution(GossipAlgorithm(max), g, inputs=[1, 2, 3, 4])
         ex.run(1)
         ex.states = [frozenset([9])] * 4
         assert ex.vector_active
@@ -229,7 +226,7 @@ class TestStateSync:
 
     def test_states_setter_demotes_on_unpackable(self):
         g = bidirectional_ring(4)
-        ex = Execution(GossipAlgorithm(max), g, inputs=[1, 2, 3, 4], vector=True)
+        ex = VectorExecution(GossipAlgorithm(max), g, inputs=[1, 2, 3, 4])
         ex.run(2)
         ex.states = [object()] * 4  # not iterable sets: leaves the kernel
         assert not ex.vector_active
@@ -243,7 +240,7 @@ class TestStateSync:
         g = bidirectional_ring(4)
         inputs = [1, 1.0, True, 2]
         states = Execution(GossipAlgorithm(), g, inputs=inputs).run(1).states
-        vec = Execution(GossipAlgorithm(), g, inputs=[1, 2, 3, 4], vector=True).run(1)
+        vec = VectorExecution(GossipAlgorithm(), g, inputs=[1, 2, 3, 4]).run(1)
         assert vec.vector_active
         vec.states = states
         assert not vec.vector_active
@@ -258,7 +255,7 @@ class TestStateSync:
 
     def test_round_number_tracks_vector_rounds(self):
         g = bidirectional_ring(5)
-        ex = Execution(GossipAlgorithm(max), g, inputs=list(range(5)), vector=True)
+        ex = VectorExecution(GossipAlgorithm(max), g, inputs=list(range(5)))
         assert ex.round_number == 0
         ex.step()
         ex.step()
@@ -275,9 +272,7 @@ class TestErrorParity:
         bad = DiGraph(3, [(0, 1), (1, 0), (1, 2)], ensure_self_loops=False)
         inputs = [1.0, 2.0, 3.0]
         direct = Execution(PushSumAlgorithm(), bad, inputs=inputs, check_model=False)
-        vec = Execution(
-            PushSumAlgorithm(), bad, inputs=inputs, check_model=False, vector=True
-        )
+        vec = VectorExecution(PushSumAlgorithm(), bad, inputs=inputs, check_model=False)
         assert vec.vector_active
         with pytest.raises(ZeroDivisionError):
             direct.step()
@@ -291,7 +286,7 @@ class TestErrorParity:
             model = CommunicationModel.SYMMETRIC
 
         asym = directed_ring(5)
-        ex = Execution(SymGossip(max), asym, inputs=list(range(5)), vector=True)
+        ex = VectorExecution(SymGossip(max), asym, inputs=list(range(5)))
         assert ex.vector_active
         with pytest.raises(ValueError, match="not symmetric"):
             ex.step()
@@ -307,7 +302,7 @@ class TestEqualButDifferentlySpelled:
     def test_gossip_falls_back_and_traces_like_the_object_run(self):
         g = bidirectional_ring(4)
         obj = Execution(GossipAlgorithm(), g, inputs=self.INPUTS)
-        vec = Execution(GossipAlgorithm(), g, inputs=self.INPUTS, vector=True)
+        vec = VectorExecution(GossipAlgorithm(), g, inputs=self.INPUTS)
         assert not vec.vector_active
         assert vec.vector_fallback_reason == "pack-failed"
         t_obj = trace_execution(obj, rounds=3)
@@ -321,14 +316,14 @@ class TestEqualButDifferentlySpelled:
         g = bidirectional_ring(4)
         make = lambda: PushSumFrequencyAlgorithm(mode="frequencies")  # noqa: E731
         obj = Execution(make(), g, inputs=self.INPUTS).run(3)
-        vec = Execution(make(), g, inputs=self.INPUTS, vector=True)
+        vec = VectorExecution(make(), g, inputs=self.INPUTS)
         assert vec.vector_fallback_reason == "pack-failed"
         vec.run(3)
         assert canonical_repr(vec.outputs()) == canonical_repr(obj.outputs())
 
     def test_signed_zero_is_refused(self):
-        ex = Execution(
-            GossipAlgorithm(), bidirectional_ring(3), inputs=[0.0, -0.0, 1], vector=True
+        ex = VectorExecution(
+            GossipAlgorithm(), bidirectional_ring(3), inputs=[0.0, -0.0, 1]
         )
         assert ex.vector_fallback_reason == "pack-failed"
 
@@ -364,14 +359,14 @@ class TestOneStatePerClass:
         g = bidirectional_ring(5)
         states = [frozenset()] * 5
         obj = Execution(GossipAlgorithm(len), g, initial_states=states).run(1)
-        vec = Execution(GossipAlgorithm(len), g, initial_states=states, vector=True).run(1)
+        vec = VectorExecution(GossipAlgorithm(len), g, initial_states=states).run(1)
         assert vec.vector_active and vec.kernel.universe == []
         assert vec.states == obj.states
         assert vec.unanimous_output() == obj.unanimous_output() == 0
 
     def test_single_agent(self):
         g = DiGraph(1, [(0, 0)])
-        vec = Execution(GossipAlgorithm(), g, inputs=[5], vector=True).run(1)
+        vec = VectorExecution(GossipAlgorithm(), g, inputs=[5]).run(1)
         assert vec.unanimous_output() == frozenset([5])
         assert vec.states == [frozenset([5])]
 
@@ -380,7 +375,7 @@ class TestOneStatePerClass:
         n = 20
         g = directed_ring(n)
         obj = Execution(GossipAlgorithm(len), g, inputs=list(range(n)))
-        vec = Execution(GossipAlgorithm(len), g, inputs=list(range(n)), vector=True)
+        vec = VectorExecution(GossipAlgorithm(len), g, inputs=list(range(n)))
         for _ in range(n):
             obj.step()
             vec.step()
@@ -391,8 +386,8 @@ class TestOneStatePerClass:
 
     def test_detector_builds_one_set_per_class(self, monkeypatch):
         n = 64
-        ex = Execution(
-            GossipAlgorithm(max), bidirectional_ring(n), inputs=[1] + [0] * (n - 1), vector=True
+        ex = VectorExecution(
+            GossipAlgorithm(max), bidirectional_ring(n), inputs=[1] + [0] * (n - 1)
         )
         reads = []  # (state objects built, distinct rows in the packed vector)
         original = GossipKernel.unpack

@@ -26,7 +26,13 @@ from hypothesis import strategies as st
 
 from repro.algorithms import OneBitCensusAlgorithm, OneBitFloodingAlgorithm
 from repro.core.agent import OneBitAlgorithm
-from repro.core.engine import BatchJob, run_batch
+from repro.core.engine import (
+    BatchJob,
+    EngineFlags,
+    QuotientExecution,
+    VectorExecution,
+    run_batch,
+)
 from repro.core.engine.reference import ReferenceExecution
 from repro.core.engine.trace import trace_execution
 from repro.core.execution import Execution
@@ -144,7 +150,7 @@ class TestBackendFallbacks:
         inputs = _inputs(6, 3)
         clear_vector_stats()
         direct = Execution(OneBitCensusAlgorithm(), g, inputs=inputs)
-        vec = Execution(OneBitCensusAlgorithm(), g, inputs=inputs, vector=True)
+        vec = VectorExecution(OneBitCensusAlgorithm(), g, inputs=inputs)
         assert not vec.vector_active
         assert vec.vector_fallback_reason == "no-kernel"
         assert vector_stats()["fallback_reasons"].get("no-kernel", 0) >= 1
@@ -158,7 +164,7 @@ class TestBackendFallbacks:
         g = bidirectional_ring(6)  # vertex-transitive: every other gate passes
         clear_quotient_stats()
         direct = Execution(OneBitFloodingAlgorithm(), g, inputs=[1] * 6)
-        quo = Execution(OneBitFloodingAlgorithm(), g, inputs=[1] * 6, quotient=True)
+        quo = QuotientExecution(OneBitFloodingAlgorithm(), g, inputs=[1] * 6)
         assert not quo.quotient_active
         assert quo.quotient_fallback_reason == "model-not-message-preserving"
         stats = quotient_stats()
@@ -182,8 +188,10 @@ class TestBackendFallbacks:
             ]
 
         base = [r.outputs for r in run_batch(jobs())]
-        assert [r.outputs for r in run_batch(jobs(), vector=True)] == base
-        assert [r.outputs for r in run_batch(jobs(), quotient=True)] == base
+        vector = EngineFlags(vector=True)
+        assert [r.outputs for r in run_batch(jobs(), engine=vector)] == base
+        quotient = EngineFlags(quotient=True)
+        assert [r.outputs for r in run_batch(jobs(), engine=quotient)] == base
 
 
 # ---------------------------------------------------------------------- #

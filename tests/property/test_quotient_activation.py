@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import GossipAlgorithm
 from repro.core.agent import BroadcastAlgorithm, OutdegreeAlgorithm
-from repro.core.engine.quotient import QuotientExecution, quotient_stats
+from repro.core.engine.quotient import QUOTIENT_RATIO, QuotientExecution, quotient_stats
 from repro.core.execution import Execution
 from repro.core.memo import clear_memos
 from repro.core.metrics import canonical_repr
@@ -137,7 +137,6 @@ activation_params = st.fixed_dictionaries({
     ),
     "seed": st.integers(min_value=0, max_value=10_000),
     "valued": st.booleans(),
-    "ratio": st.sampled_from([0.01, 0.5, 1.0]),
     "model": st.sampled_from(["broadcast", "outdegree"]),
     "self_loops": st.booleans(),
     "check_model": st.booleans(),
@@ -161,13 +160,12 @@ class TestAgainstTwoPassOracle:
 
         states = Execution(algorithm(), graph, inputs=inputs, check_model=False).states
         reason, mb = reference_activation(
-            algorithm(), graph, states, p["ratio"], p["check_model"]
+            algorithm(), graph, states, QUOTIENT_RATIO, p["check_model"]
         )
 
         before = quotient_stats()
         execution = QuotientExecution(
-            algorithm(), graph, inputs=inputs, quotient_ratio=p["ratio"],
-            check_model=p["check_model"],
+            algorithm(), graph, inputs=inputs, check_model=p["check_model"]
         )
         after = quotient_stats()
 

@@ -25,11 +25,11 @@ from hypothesis import strategies as st
 
 from repro.algorithms import GossipAlgorithm
 from repro.core.agent import OutdegreeAlgorithm, OutputPortAlgorithm
+from repro.core.engine.batch import EngineFlags, select_backend
 from repro.core.engine.quotient import (
+    QUOTIENT_RATIO,
     QuotientExecution,
     clear_quotient_stats,
-    default_quotient_ratio,
-    quotient_enabled_by_env,
     quotient_stats,
 )
 from repro.core.execution import Execution
@@ -126,9 +126,8 @@ transitive_params = st.tuples(
 def assert_bit_identical(algorithm_factory, network, inputs, scramble, *,
                          expect_active, tracer_on_quotient=False):
     """Step a quotient run and a direct run in lockstep; compare everything."""
-    quotient = Execution(
-        algorithm_factory(), network, inputs=inputs,
-        scramble_seed=scramble, quotient=True,
+    quotient = QuotientExecution(
+        algorithm_factory(), network, inputs=inputs, scramble_seed=scramble
     )
     direct = Execution(
         algorithm_factory(), network, inputs=inputs, scramble_seed=scramble
@@ -261,9 +260,7 @@ class TestFallbacks:
         from repro.dynamics.generators import random_dynamic_strongly_connected
 
         dyn = random_dynamic_strongly_connected(5, seed=3)
-        execution = Execution(
-            GossipAlgorithm(max), dyn, inputs=[1] * 5, quotient=True
-        )
+        execution = QuotientExecution(GossipAlgorithm(max), dyn, inputs=[1] * 5)
         assert not execution.quotient_active
         assert execution.quotient_fallback_reason == "dynamic-network"
         direct = Execution(
@@ -286,53 +283,33 @@ class TestFallbacks:
         )
         assert execution.quotient_fallback_reason == "outdegree-not-preserved"
         # ...while a broadcast run on the same star activates fine.
-        broadcast = Execution(
-            GossipAlgorithm(max), g, inputs=[3] * g.n, quotient=True
-        )
+        broadcast = QuotientExecution(GossipAlgorithm(max), g, inputs=[3] * g.n)
         assert broadcast.quotient_active and broadcast.base_n == 2
 
-    def test_ratio_knob(self, monkeypatch):
+    def test_ratio_knob(self):
+        assert QUOTIENT_RATIO == 0.5
         g = bidirectional_ring(6)
-        tight = Execution(
-            GossipAlgorithm(max), g, inputs=[1] * 6,
-            quotient=True, quotient_ratio=0.2,
-        )
-        assert tight.quotient_active  # base.n/n = 1/6 <= 0.2
-        stingy = Execution(
-            GossipAlgorithm(max), g, inputs=[1] * 6,
-            quotient=True, quotient_ratio=0.01,
-        )
-        assert not stingy.quotient_active
-        assert stingy.quotient_fallback_reason == "base-too-large"
-        monkeypatch.setenv("REPRO_QUOTIENT_RATIO", "0.01")
-        assert default_quotient_ratio() == 0.01
-        env_stingy = Execution(
-            GossipAlgorithm(max), g, inputs=[1] * 6, quotient=True
-        )
-        assert not env_stingy.quotient_active
-        # Non-finite, negative and unparsable values mean the default:
-        # ``nan`` must not let every base activate, ``-1`` must not make
-        # every base too large.
-        for raw in ("nan", "inf", "abc", "-1"):
-            monkeypatch.setenv("REPRO_QUOTIENT_RATIO", raw)
-            assert default_quotient_ratio() == 0.5, raw
-        periodic = Execution(
+        constant = QuotientExecution(GossipAlgorithm(max), g, inputs=[1] * 6)
+        assert constant.quotient_active and constant.base_n == 1  # 1/6
+        periodic = QuotientExecution(
             GossipAlgorithm(max), bidirectional_ring(8),
-            inputs=[v % 4 for v in range(8)], quotient=True,
+            inputs=[v % 4 for v in range(8)],
         )
-        assert periodic.quotient_active and periodic.base_n == 4  # under -1
+        assert periodic.quotient_active and periodic.base_n == 4  # 4/8
+        one_hot = QuotientExecution(GossipAlgorithm(max), g, inputs=[1] + [0] * 5)
+        assert not one_hot.quotient_active  # 4/6: one class per distance from the 1
+        assert one_hot.quotient_fallback_reason == "base-too-large"
 
     def test_env_flag(self, monkeypatch):
+        monkeypatch.delenv("REPRO_VECTOR", raising=False)
         monkeypatch.delenv("REPRO_QUOTIENT", raising=False)
-        assert not quotient_enabled_by_env()
+        assert select_backend() is Execution
         monkeypatch.setenv("REPRO_QUOTIENT", "1")
-        assert quotient_enabled_by_env()
+        assert select_backend() is QuotientExecution
 
     def test_model_violation_falls_back_then_direct_raises(self):
         g = bidirectional_ring(4, self_loops=False)
-        execution = Execution(
-            GossipAlgorithm(max), g, inputs=[1] * 4, quotient=True
-        )
+        execution = QuotientExecution(GossipAlgorithm(max), g, inputs=[1] * 4)
         assert not execution.quotient_active
         assert execution.quotient_fallback_reason == "model-violation"
         with pytest.raises(ValueError):
@@ -343,16 +320,13 @@ class TestCounters:
     def test_activations_fallbacks_lifts(self):
         clear_quotient_stats()
         g = hypercube(3)
-        execution = Execution(
-            GossipAlgorithm(max), g, inputs=[2] * g.n, quotient=True
-        )
+        execution = QuotientExecution(GossipAlgorithm(max), g, inputs=[2] * g.n)
         execution.run(2)
         _ = execution.states  # forces one lazy lift
-        Execution(
+        QuotientExecution(
             GossipAlgorithm(max),
             random_strongly_connected(6, seed=1),
             inputs=list(range(6)),
-            quotient=True,
         )
         stats = quotient_stats()
         assert stats["activations"] == 1
@@ -361,16 +335,15 @@ class TestCounters:
         assert sum(stats["fallback_reasons"].values()) == 1
 
     def test_one_bit_model_is_a_checked_fallback(self):
-        """REPRO_QUOTIENT=1 (or quotient=True) with a one-bit algorithm
-        must never activate — the model is not outdegree-message-
-        preserving — and the refusal lands in the fallback counters."""
+        """REPRO_QUOTIENT=1 (or EngineFlags(quotient=True)) with a one-bit
+        algorithm must never activate — the model is not outdegree-
+        message-preserving — and the refusal lands in the fallback
+        counters."""
         from repro.algorithms.onebit import OneBitFloodingAlgorithm
 
         clear_quotient_stats()
         g = hypercube(3)  # vertex-transitive: every other gate would pass
-        execution = Execution(
-            OneBitFloodingAlgorithm(), g, inputs=[1] * g.n, quotient=True
-        )
+        execution = QuotientExecution(OneBitFloodingAlgorithm(), g, inputs=[1] * g.n)
         assert not execution.quotient_active
         assert execution.quotient_fallback_reason == "model-not-message-preserving"
         execution.run(2)
@@ -385,14 +358,14 @@ class TestCounters:
 
         baseline = quotient_stats()
         g = hypercube(2)
-        Execution(GossipAlgorithm(max), g, inputs=[1] * g.n, quotient=True)
+        QuotientExecution(GossipAlgorithm(max), g, inputs=[1] * g.n)
         registry = MetricsRegistry()
         publish_quotient_metrics(registry, baseline)
         assert registry.counter("quotient_activations").value == 1
 
 
 class TestBatchAndParallel:
-    """run_batch(quotient=True) equals run_batch(quotient=False)."""
+    """The quotient backend's batches and sweeps equal the direct ones."""
 
     def test_run_batch_quotient_matches_direct(self):
         from repro.core.engine.batch import BatchJob, run_batch
@@ -408,33 +381,29 @@ class TestBatchAndParallel:
             )
             for family in FAMILIES
         ]
-        accelerated = run_batch(jobs, quotient=True)
-        plain = run_batch(jobs, quotient=False)
+        accelerated = run_batch(jobs, engine=EngineFlags(quotient=True))
+        plain = run_batch(jobs, engine=EngineFlags(quotient=False))
         for fast, slow in zip(accelerated, plain):
             assert fast.outputs == slow.outputs
             assert fast.label == slow.label
 
-    def test_job_level_quotient_wins_over_batch_level(self):
-        from repro.core.engine.batch import BatchJob, run_batch
-
-        g = hypercube(3)
-        job = BatchJob(
-            algorithm=GossipAlgorithm(max),
-            network=g,
-            inputs=[1] * g.n,
-            rounds=2,
-            quotient=False,
-        )
-        [result] = run_batch([job], quotient=True)
-        assert not getattr(result.execution, "quotient_active", False)
-
     def test_bandwidth_sweep_quotient_curves_equal(self):
         from repro.analysis.bandwidth import bandwidth_sweep
+        from repro.core.engine.vector import vector_stats
 
         specs = [
             (lambda: GossipAlgorithm(max), lambda: hypercube(3), [5] * 8, 3),
             (lambda: GossipAlgorithm(max), lambda: bidirectional_ring(6), [2] * 6, 3),
+            (
+                lambda: GossipAlgorithm(max),
+                lambda: random_strongly_connected(7, seed=2),
+                list(range(7)),
+                4,
+            ),
         ]
-        assert bandwidth_sweep(specs, quotient=True) == bandwidth_sweep(
-            specs, quotient=False
-        )
+        plain = bandwidth_sweep(specs, EngineFlags(quotient=False, vector=False))
+        assert plain == [[1, 1, 1], [1, 1, 1], [5, 7, 7, 7]]
+        assert bandwidth_sweep(specs, EngineFlags(quotient=True)) == plain
+        activations = vector_stats()["activations"]
+        assert bandwidth_sweep(specs, EngineFlags(quotient=False, vector=True)) == plain
+        assert vector_stats()["activations"] - activations == len(specs)

@@ -37,9 +37,10 @@ from repro.algorithms.push_sum import VectorPushSumAlgorithm
 from repro.algorithms.push_sum_frequency import PushSumFrequencyAlgorithm
 from repro.analysis.impossibility import outputs_match
 from repro.core.agent import OutputPortAlgorithm
-from repro.core.engine import BatchJob, run_batch
+from repro.core.engine import BatchJob, EngineFlags, run_batch
 from repro.core.engine.trace import Tracer, trace_execution
 from repro.core.engine.vector import (
+    VectorExecution,
     VectorKernel,
     kernel_for,
     register_kernel,
@@ -125,7 +126,7 @@ def _dynamic(n, seed, symmetric=False):
 
 def _pair(algorithm_factory, network, inputs, **kwargs):
     obj = Execution(algorithm_factory(), network, inputs=inputs, **kwargs)
-    vec = Execution(algorithm_factory(), network, inputs=inputs, vector=True, **kwargs)
+    vec = VectorExecution(algorithm_factory(), network, inputs=inputs, **kwargs)
     return obj, vec
 
 
@@ -279,8 +280,8 @@ class TestTraced:
     def test_traced_and_untraced_vector_agree(self):
         g = random_strongly_connected(7, seed=5)
         inputs = list(range(7))
-        plain = Execution(GossipAlgorithm(max), g, inputs=inputs, vector=True)
-        traced = Execution(GossipAlgorithm(max), g, inputs=inputs, vector=True)
+        plain = VectorExecution(GossipAlgorithm(max), g, inputs=inputs)
+        traced = VectorExecution(GossipAlgorithm(max), g, inputs=inputs)
         trace_execution(traced, rounds=ROUNDS)
         plain.run(ROUNDS)
         assert plain.states == traced.states
@@ -303,8 +304,9 @@ def _batch_jobs(n=6, seed=4):
 
 class TestBatchBackends:
     def test_run_batch_vector_override(self):
-        base = [r.outputs for r in run_batch(_batch_jobs(), vector=False)]
-        vec = [r.outputs for r in run_batch(_batch_jobs(), vector=True)]
+        off, on = EngineFlags(vector=False), EngineFlags(vector=True)
+        base = [r.outputs for r in run_batch(_batch_jobs(), engine=off)]
+        vec = [r.outputs for r in run_batch(_batch_jobs(), engine=on)]
         assert outputs_match(vec, base)
 
     def test_env_default_respected(self, monkeypatch):
@@ -333,7 +335,7 @@ class TestScrambleIndependence:
         inputs = [3, 1, 4, 1, 5, 9]
         alone = Execution(GossipAlgorithm(max), g, inputs=inputs).run(ROUNDS)
         interleaved = Execution(GossipAlgorithm(max), g, inputs=inputs)
-        vec = Execution(GossipAlgorithm(max), g, inputs=inputs, vector=True)
+        vec = VectorExecution(GossipAlgorithm(max), g, inputs=inputs)
         for _ in range(ROUNDS):
             vec.step()
             interleaved.step()

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import EngineFlags
 from repro.core.memo import graph_fingerprint
 from repro.scenarios import (
     GRAPH_FAMILIES,
@@ -146,7 +147,10 @@ def test_shared_graphs_give_the_unit_by_unit_rows(inputs, data):
         scenario = validate_scenario(
             {**raw, "engine": flags}, source="drawn"
         )
-        fresh = [compute_grid_row(scenario, *unit, **flags) for unit in grid_units(scenario)]
+        fresh = [
+            compute_grid_row(scenario, *unit, engine=EngineFlags(**flags))
+            for unit in grid_units(scenario)
+        ]
         assert run_scenario(scenario)["rows"] == fresh, flags
 
 

@@ -29,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.scenarios.runner as runner
+from repro.core.engine import EngineFlags
 from repro.scenarios import (
     GRAPH_FAMILIES,
     INPUT_PATTERNS,
@@ -91,8 +92,9 @@ def jobs(monkeypatch):
 
 
 def unit_by_unit(scenario, on_trace=None, **flags):
+    engine = EngineFlags(**flags)
     return [
-        compute_grid_row(scenario, *unit, on_trace=on_trace, **flags)
+        compute_grid_row(scenario, *unit, on_trace=on_trace, engine=engine)
         for unit in grid_units(scenario)
     ]
 

@@ -172,6 +172,13 @@ class TestEmbeddedPush:
             twins = [submit(thread, {"i": 5, flag: True}) for flag in ("quotient", "vector")]
             for twin in twins:
                 wait_for_status(thread, twin, "running")
+            # The claim marks a twin running on disk before the
+            # orchestrator parks it, so read the counter on its loop.
+            wait_for(
+                lambda: thread.call(lambda: thread.orchestrator.stats["dedup_inflight"]) == 2,
+                within=BOUND,
+                what="both twins parked",
+            )
             assert thread.orchestrator.stats["dedup_inflight"] == 2
             clients = [thread.client(timeout=BOUND) for _ in range(3)]
             feeds = [c.events(j) for c, j in zip(clients, [first, *twins])]
