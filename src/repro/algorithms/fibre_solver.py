@@ -33,8 +33,10 @@ from repro.linalg.exact import integer_kernel_vector, primitive_integer_vector
 def _edge_counts(base: DiGraph) -> List[List[int]]:
     """``d[i][j]`` = number of base edges ``i -> j`` (colors ignored)."""
     d = [[0] * base.n for _ in range(base.n)]
-    for e in base.edges:
-        d[e.source][e.target] += 1
+    for i in base.vertices():
+        row = d[i]
+        for j in base.out_neighbors(i):
+            row[j] += 1
     return d
 
 
@@ -67,8 +69,9 @@ def fibre_ratios_ports(base: DiGraph) -> Optional[List[int]]:
     colors (the covering's local isomorphism); candidates failing it are
     rejected as unstabilized.
     """
+    colors = base.edge_colors()
     for v in base.vertices():
-        ports = [e.color for e in base.out_edges(v)]
+        ports = [colors[i] for i in base.out_edge_ids(v)]
         if len(set(ports)) != len(ports) or not all(isinstance(p, int) for p in ports):
             return None
     return [1] * base.n

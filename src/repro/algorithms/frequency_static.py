@@ -119,7 +119,7 @@ class _FunctionOutput:
         base = extract_base(view, self.builder, skip_root=self._skip_root)
         if base is None:
             return None
-        content = (base.values, tuple((e.source, e.target, e.color) for e in base.edges))
+        content = (base.values, tuple(base.edge_specs()))
         if content not in self._by_base:
             self._by_base[content] = self._base_output(base, content)
         return self._by_base[content]

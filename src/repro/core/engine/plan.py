@@ -9,7 +9,8 @@ consume with nothing but list indexing:
 * ``sources[j]`` — the source vertex of each in-edge of receiver ``j``,
   in in-edge order (the pre-scramble delivery order);
 * ``source_ports[j]`` — the output port each of those edges occupies at
-  its source (only consulted by the port-aware transport);
+  its source (only the port-aware transport reads it, so it is built on
+  first read);
 * ``outdegrees[v]`` — ``d⁻(v)``, what outdegree-aware sending functions
   see;
 * the model preconditions (``all_self_loops``, lazily ``symmetric``),
@@ -43,7 +44,7 @@ class DeliveryPlan:
         "num_messages",
         "outdegrees",
         "sources",
-        "source_ports",
+        "_source_ports",
         "all_self_loops",
         "_symmetric",
         "_csr",
@@ -54,13 +55,11 @@ class DeliveryPlan:
         n = graph.n
         self.n = n
         self.num_messages = graph.num_edges
-        self.outdegrees: Tuple[int, ...] = tuple(graph.outdegree(v) for v in range(n))
+        self.outdegrees: Tuple[int, ...] = tuple(map(graph.outdegree, range(n)))
         self.sources: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(e.source for e in graph.in_edges(j)) for j in range(n)
+            tuple(graph.in_neighbors(j)) for j in range(n)
         )
-        self.source_ports: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(graph.port_of(e) for e in graph.in_edges(j)) for j in range(n)
-        )
+        self._source_ports: Optional[Tuple[Tuple[int, ...], ...]] = None
         self.all_self_loops: bool = graph.all_have_self_loops()
         self._symmetric: Optional[bool] = None
         # Lazily attached by repro.core.engine.vector.csr_for: the same
@@ -68,6 +67,14 @@ class DeliveryPlan:
         # so CSR compilation amortizes exactly like the plan itself does
         # (once per distinct graph, shared through the memo layer).
         self._csr = None
+
+    @property
+    def source_ports(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per receiver, the output port of each in-edge at its source
+        (built on first read: only output-port-aware sends consult it)."""
+        if self._source_ports is None:
+            self._source_ports = source_ports(self.graph)
+        return self._source_ports
 
     @property
     def symmetric(self) -> bool:
@@ -79,6 +86,13 @@ class DeliveryPlan:
 
     def __repr__(self) -> str:
         return f"DeliveryPlan(n={self.n}, messages={self.num_messages})"
+
+
+def source_ports(graph: DiGraph) -> Tuple[Tuple[int, ...], ...]:
+    """Per receiver of ``graph``, the output port of each in-edge at its
+    source, in in-edge order."""
+    port_of = graph.port_of
+    return tuple(tuple(map(port_of, graph.in_edges(j))) for j in range(graph.n))
 
 
 def compile_plan(graph: DiGraph) -> DeliveryPlan:

@@ -62,6 +62,7 @@ many rounds actually ran vectorized.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 
 try:  # numpy ships as the ``vector`` extra; everything else works without it.
@@ -71,7 +72,7 @@ except ImportError:  # pragma: no cover - the CI image bundles numpy
 
 from repro.core.agent import Algorithm
 from repro.core.engine.instrumentation import RoundRecord
-from repro.core.engine.plan import DeliveryPlan
+from repro.core.engine.plan import DeliveryPlan, source_ports
 from repro.core.execution import Execution
 from repro.core.metrics import canonical_repr
 
@@ -134,6 +135,8 @@ class CSRPlan:
     is the ``e``-th in-edge of receiver ``j``, in in-edge (pre-scramble)
     order.  ``targets`` repeats each receiver once per in-edge so the
     scatter side of a kernel is one ``np.bincount(targets, weights=...)``.
+    ``ports`` (each in-edge's output port at its source) is built on first
+    read: only port-aware kernels consult it.
     """
 
     __slots__ = (
@@ -141,10 +144,11 @@ class CSRPlan:
         "num_messages",
         "indptr",
         "sources",
-        "ports",
         "targets",
         "outdegrees",
         "indegrees",
+        "_graph",
+        "_ports",
     )
 
     def __init__(self, plan: DeliveryPlan):
@@ -152,20 +156,31 @@ class CSRPlan:
         n = plan.n
         self.n = n
         self.num_messages = plan.num_messages
-        counts = np.fromiter((len(srcs) for srcs in plan.sources), dtype=np.int64, count=n)
+        counts = np.fromiter(map(len, plan.sources), dtype=np.int64, count=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         self.indptr = indptr
         m = int(indptr[-1])
-        self.sources = np.fromiter(
-            (s for srcs in plan.sources for s in srcs), dtype=np.int64, count=m
-        )
-        self.ports = np.fromiter(
-            (p for ports in plan.source_ports for p in ports), dtype=np.int64, count=m
-        )
+        self.sources = np.fromiter(chain.from_iterable(plan.sources), dtype=np.int64, count=m)
         self.targets = np.repeat(np.arange(n, dtype=np.int64), counts)
         self.outdegrees = np.asarray(plan.outdegrees, dtype=np.int64)
         self.indegrees = counts
+        # The graph, not the plan: the plan holds this object, and a
+        # reference back would make the pair a cycle only the collector
+        # frees.
+        self._graph = plan.graph
+        self._ports = None
+
+    @property
+    def ports(self):
+        """Each in-edge's output port at its source, in CSR order."""
+        if self._ports is None:
+            self._ports = _np.fromiter(
+                chain.from_iterable(source_ports(self._graph)),
+                dtype=_np.int64,
+                count=self.num_messages,
+            )
+        return self._ports
 
     def __repr__(self) -> str:
         return f"CSRPlan(n={self.n}, messages={self.num_messages})"

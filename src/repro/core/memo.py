@@ -18,7 +18,7 @@ are computed lazily and cached on the graph (``DiGraph._fingerprint``),
 so a graph nobody memoizes never pays for hashing.  The (vertex count,
 sorted edges) prefix is hashed once per *edge structure*: graphs built by
 :meth:`~repro.graphs.digraph.DiGraph.with_values` /
-``without_values`` share their source's edges and its
+``without_values`` share their source's edge arrays and its
 :class:`~repro.graphs.digraph.EdgeCache`, and each valuation hashes only
 its values into a copy of the digest kept there.
 The bytes hashed, hence every fingerprint, are the same as hashing the
@@ -111,7 +111,7 @@ def graph_fingerprint(graph: DiGraph) -> str:
     """
     fp = graph._fingerprint
     if fp is None:
-        cache = graph._edge_cache
+        cache = graph.edge_cache
         if cache.digest is None:
             cache.digest = _hash_edges(graph)
         digest = cache.digest.copy()
@@ -128,12 +128,11 @@ def _hash_edges(graph: DiGraph):
     once (most graphs carry one color, or one per port)."""
     reprs: Dict[int, str] = {}
     keyed = []
-    for e in graph.edges:
-        color = e.color
+    for s, t, color in graph.edge_specs():
         r = reprs.get(id(color))
         if r is None:
             r = reprs[id(color)] = canonical_repr(color)
-        keyed.append((e.source, e.target, r))
+        keyed.append((s, t, r))
     keyed.sort()
     prefix = f"{graph.n}\x1f" + "".join(f"{s}>{t}#{c}\x1f" for s, t, c in keyed)
     return hashlib.sha256(prefix.encode("utf-8"))

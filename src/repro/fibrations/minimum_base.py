@@ -88,23 +88,23 @@ def _group_by_equality(items: Iterable[Any]) -> Tuple[List[int], int]:
 def _edge_structure(g: DiGraph) -> EdgeCache:
     """``g``'s edge cache with the refiner's fields filled.
 
-    ``color_ids[e.index]`` is edge ``e``'s canonical color id and
+    ``color_ids[i]`` is edge ``i``'s canonical color id and
     ``num_colors`` the number of ids (at least 1).  ``out_keys[u]`` holds
     one int per out-edge of ``u``, in port order: ``target * num_colors +
     color id``, which is just the target when every edge carries one
-    color id.  Computed once per edge structure: every valuation of the
-    graph shares the cache.
+    color id.  Computed once per edge structure, from the graph's integer
+    edge arrays: every valuation of the graph shares the cache.
     """
-    cache = g._edge_cache
+    cache = g.edge_cache
     if cache.out_keys is None:
-        color_ids, k = _group_by_equality([e.color for e in g.edges])
+        color_ids, k = _group_by_equality(g.edge_colors())
         k = max(k, 1)
-        outs = map(g.out_edges, g.vertices())
         if k == 1:
-            out_keys = tuple(tuple([e.target for e in out]) for out in outs)
+            out_keys = tuple(tuple(g.out_neighbors(u)) for u in g.vertices())
         else:
             out_keys = tuple(
-                tuple([e.target * k + color_ids[e.index] for e in out]) for out in outs
+                tuple([t * k + color_ids[i] for t, i in zip(g.out_neighbors(u), g.out_edge_ids(u))])
+                for u in g.vertices()
             )
         cache.color_ids, cache.num_colors, cache.out_keys = color_ids, k, out_keys
     return cache
@@ -356,22 +356,28 @@ def quotient_by_partition(
                 raise ValueError(f"partition does not refine the valuation at class {c}")
 
     edges = _edge_structure(g)
-    color_ids, k = edges.color_ids, edges.num_colors
+    k = edges.num_colors
+    edge_keys = list(edges.color_ids)
+    for u in range(g.n):
+        source_key = classes[u] * k
+        for i in g.out_edge_ids(u):
+            edge_keys[i] += source_key
 
     def sorted_keys(v: int) -> Tuple[List[int], List[int]]:
         """``v``'s in-edge keys, sorted, and the in-edge positions in that order."""
-        keys = [classes[e.source] * k + color_ids[e.index] for e in g.in_edges(v)]
+        keys = list(map(edge_keys.__getitem__, g.in_edge_ids(v)))
         order = sorted(range(len(keys)), key=keys.__getitem__)
         return list(map(keys.__getitem__, order)), order
 
+    colors = g.edge_colors()
     specs = []
     rep_keys: List[List[int]] = []
     rep_edges: List[List[int]] = []
     for c in range(m):
         r = rep[c]
         first = len(specs)
-        for e in g.in_edges(r):
-            specs.append((classes[e.source], c, e.color))
+        for s, i in zip(g.in_neighbors(r), g.in_edge_ids(r)):
+            specs.append((classes[s], c, colors[i]))
         keys, order = sorted_keys(r)
         rep_keys.append(keys)
         rep_edges.append([first + i for i in order])
@@ -386,9 +392,9 @@ def quotient_by_partition(
         keys, order = sorted_keys(v)
         if keys != rep_keys[c]:
             raise ValueError(f"partition is not equitable at class {c}")
-        in_edges = g.in_edges(v)
+        in_ids = g.in_edge_ids(v)
         for i, b in zip(order, rep_edges[c]):
-            edge_map[in_edges[i].index] = b
+            edge_map[in_ids[i]] = b
     return MinimumBase(base, GraphMorphism(g, base, classes, edge_map), classes)
 
 

@@ -15,6 +15,8 @@ instantaneously").
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import eq
 from typing import (
     Any,
     Callable,
@@ -75,9 +77,15 @@ class EdgeCache:
     """What is derived from one edge structure, filled on first use.
 
     Every graph :meth:`DiGraph.with_values` / :meth:`DiGraph.without_values`
-    builds shares its source's edges and therefore this cell, so each
+    builds shares its source's edge arrays and therefore this cell, so each
     valuation of one edge structure pays for these once:
 
+    * ``edges``, ``in_edges``, ``out_edges`` — the :class:`Edge` records,
+      all of them and per vertex (:class:`DiGraph` builds them on the
+      first read of :attr:`DiGraph.edges`, :meth:`DiGraph.in_edges` or
+      :meth:`DiGraph.out_edges`);
+    * ``ports`` — each edge's output port at its source
+      (:meth:`DiGraph.port_of` fills it);
     * ``digest`` — the content fingerprint's edge digest
       (:mod:`repro.core.memo` fills it);
     * ``color_ids``, ``num_colors``, ``out_keys`` — the refiner's
@@ -85,9 +93,22 @@ class EdgeCache:
       (:mod:`repro.fibrations.minimum_base` fills them).
     """
 
-    __slots__ = ("digest", "color_ids", "num_colors", "out_keys")
+    __slots__ = (
+        "edges",
+        "in_edges",
+        "out_edges",
+        "ports",
+        "digest",
+        "color_ids",
+        "num_colors",
+        "out_keys",
+    )
 
     def __init__(self):
+        self.edges: Optional[Tuple[Edge, ...]] = None
+        self.in_edges: Optional[Tuple[Tuple[Edge, ...], ...]] = None
+        self.out_edges: Optional[Tuple[Tuple[Edge, ...], ...]] = None
+        self.ports: Optional[List[int]] = None
         self.digest = None
         self.color_ids: Optional[List[int]] = None
         self.num_colors = 0
@@ -113,15 +134,26 @@ class DiGraph:
 
     The graph is immutable after construction; derived graphs are produced
     by :meth:`with_values`, :meth:`with_colors`, :meth:`with_edges`, etc.
+
+    Edges are stored as the paper's source and target functions: one
+    integer tuple each, indexed by edge, plus a color tuple only when some
+    edge carries a color, and per vertex the ids of its in- and out-edges.
+    The :class:`Edge` records and the port numbering are built from these
+    on first read (see :class:`EdgeCache`); readers that need only
+    integers use :meth:`in_neighbors`, :meth:`out_neighbors`,
+    :meth:`in_edge_ids`, :meth:`out_edge_ids`, :meth:`edge_colors` and
+    :meth:`edge_specs` and never build them.
     """
 
     __slots__ = (
         "n",
-        "_edges",
+        "_sources",
+        "_targets",
+        "_colors",
+        "_in_ids",
+        "_out_ids",
+        "_all_loops",
         "_values",
-        "_out",
-        "_in",
-        "_out_ports",
         "_fingerprint",
         "_edge_cache",
     )
@@ -136,47 +168,50 @@ class DiGraph:
         if n <= 0:
             raise ValueError(f"a graph needs at least one vertex, got n={n}")
         self.n = n
-        edge_list: List[Edge] = []
+        sources: List[int] = []
+        targets: List[int] = []
+        colors: Dict[int, Hashable] = {}  # edge index -> color, None left out
+        out: List[List[int]] = [[] for _ in range(n)]
+        inn: List[List[int]] = [[] for _ in range(n)]
         for spec in edges:
             if len(spec) == 2:
                 s, t = spec
-                c: Hashable = None
             elif len(spec) == 3:
                 s, t, c = spec
+                if c is not None:
+                    colors[len(sources)] = c
             else:
                 raise ValueError(f"edge spec must be (s, t) or (s, t, color), got {spec!r}")
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"edge ({s}, {t}) out of range for n={n}")
-            edge_list.append(Edge(len(edge_list), s, t, c))
-        if ensure_self_loops:
-            have_loop = [False] * n
-            for e in edge_list:
-                if e.source == e.target:
-                    have_loop[e.source] = True
+            i = len(sources)
+            out[s].append(i)
+            inn[t].append(i)
+            sources.append(s)
+            targets.append(t)
+        looped = set(compress(sources, map(eq, sources, targets)))
+        if ensure_self_loops and len(looped) < n:
             for v in range(n):
-                if not have_loop[v]:
-                    edge_list.append(Edge(len(edge_list), v, v, None))
-        self._edges: Tuple[Edge, ...] = tuple(edge_list)
+                if v not in looped:
+                    i = len(sources)
+                    out[v].append(i)
+                    inn[v].append(i)
+                    sources.append(v)
+                    targets.append(v)
+            looped = set(range(n))
         if values is not None:
             values = tuple(values)
             if len(values) != n:
                 raise ValueError(f"got {len(values)} values for {n} vertices")
         self._values: Optional[Tuple[Any, ...]] = values
-
-        out: List[List[Edge]] = [[] for _ in range(n)]
-        inn: List[List[Edge]] = [[] for _ in range(n)]
-        for e in self._edges:
-            out[e.source].append(e)
-            inn[e.target].append(e)
-        self._out: Tuple[Tuple[Edge, ...], ...] = tuple(tuple(es) for es in out)
-        self._in: Tuple[Tuple[Edge, ...], ...] = tuple(tuple(es) for es in inn)
-        # Port numbering: the ℓ-th out-edge of a vertex (in edge-list order)
-        # is its port ℓ (0-based).  Static by construction.
-        ports: Dict[int, int] = {}
-        for v in range(n):
-            for port, e in enumerate(self._out[v]):
-                ports[e.index] = port
-        self._out_ports: Dict[int, int] = ports
+        self._sources: Tuple[int, ...] = tuple(sources)
+        self._targets: Tuple[int, ...] = tuple(targets)
+        self._colors: Optional[Tuple[Hashable, ...]] = (
+            tuple(map(colors.get, range(len(sources)))) if colors else None
+        )
+        self._in_ids: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, inn))
+        self._out_ids: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, out))
+        self._all_loops = len(looped) == n
         # Content fingerprint, computed lazily by repro.core.memo; ``None``
         # until someone asks for it (most throwaway graphs never do).
         self._fingerprint: Optional[str] = None
@@ -191,11 +226,22 @@ class DiGraph:
     @property
     def edges(self) -> Tuple[Edge, ...]:
         """All edges, in construction order."""
-        return self._edges
+        cache = self._edge_cache
+        if cache.edges is None:
+            cache.edges = tuple(
+                map(Edge, range(self.num_edges), self._sources, self._targets, self.edge_colors())
+            )
+        return cache.edges
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._sources)
+
+    @property
+    def edge_cache(self) -> EdgeCache:
+        """What is derived from this graph's edge structure, shared by
+        every :meth:`with_values` / :meth:`without_values` clone."""
+        return self._edge_cache
 
     @property
     def values(self) -> Optional[Tuple[Any, ...]]:
@@ -213,47 +259,78 @@ class DiGraph:
 
     def out_edges(self, v: int) -> Tuple[Edge, ...]:
         """Out-edges of ``v`` in port order."""
-        return self._out[v]
+        cache = self._edge_cache
+        if cache.out_edges is None:
+            cache.out_edges = self._records(self._out_ids)
+        return cache.out_edges[v]
 
     def in_edges(self, v: int) -> Tuple[Edge, ...]:
-        return self._in[v]
+        cache = self._edge_cache
+        if cache.in_edges is None:
+            cache.in_edges = self._records(self._in_ids)
+        return cache.in_edges[v]
+
+    def _records(self, ids: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[Edge, ...], ...]:
+        record = self.edges.__getitem__
+        return tuple(tuple(map(record, vertex_ids)) for vertex_ids in ids)
+
+    def out_edge_ids(self, v: int) -> Tuple[int, ...]:
+        """Indices of ``v``'s out-edges, in port order."""
+        return self._out_ids[v]
+
+    def in_edge_ids(self, v: int) -> Tuple[int, ...]:
+        """Indices of ``v``'s in-edges, in in-edge order."""
+        return self._in_ids[v]
+
+    def edge_colors(self) -> Tuple[Hashable, ...]:
+        """Every edge's color (``None`` when uncolored), indexed by edge."""
+        if self._colors is None:
+            return (None,) * len(self._sources)
+        return self._colors
 
     def out_neighbors(self, v: int) -> List[int]:
         """Targets of ``v``'s out-edges (with multiplicity)."""
-        return [e.target for e in self._out[v]]
+        return list(map(self._targets.__getitem__, self._out_ids[v]))
 
     def in_neighbors(self, v: int) -> List[int]:
         """Sources of ``v``'s in-edges (with multiplicity)."""
-        return [e.source for e in self._in[v]]
+        return list(map(self._sources.__getitem__, self._in_ids[v]))
 
     def outdegree(self, v: int) -> int:
         """Number of out-edges of ``v`` — the paper's ``d⁻``, self-loop included."""
-        return len(self._out[v])
+        return len(self._out_ids[v])
 
     def indegree(self, v: int) -> int:
-        return len(self._in[v])
+        return len(self._in_ids[v])
 
     def port_of(self, edge: Edge) -> int:
-        """The output port (0-based) that ``edge`` occupies at its source."""
-        return self._out_ports[edge.index]
+        """The output port (0-based) that ``edge`` occupies at its source.
+
+        The ``ℓ``-th out-edge of a vertex (in edge-list order) is its port
+        ``ℓ``; the numbering is built on first use, once per edge structure.
+        """
+        cache = self._edge_cache
+        if cache.ports is None:
+            ports = [0] * len(self._sources)
+            for ids in self._out_ids:
+                for port, index in enumerate(ids):
+                    ports[index] = port
+            cache.ports = ports
+        return cache.ports[edge.index]
 
     def edge_multiplicity(self, source: int, target: int) -> int:
         """Number of parallel ``source -> target`` edges."""
-        return sum(1 for e in self._out[source] if e.target == target)
+        return self.out_neighbors(source).count(target)
 
     def has_edge(self, source: int, target: int) -> bool:
-        return any(e.target == target for e in self._out[source])
+        return target in map(self._targets.__getitem__, self._out_ids[source])
 
     def has_self_loop(self, v: int) -> bool:
         return self.has_edge(v, v)
 
     def all_have_self_loops(self) -> bool:
-        """Whether every vertex has a self-loop (§2.1), in one pass over the edges."""
-        loops = [False] * self.n
-        for e in self._edges:
-            if e.source == e.target:
-                loops[e.source] = True
-        return all(loops)
+        """Whether every vertex has a self-loop (§2.1), recorded at construction."""
+        return self._all_loops
 
     # ------------------------------------------------------------------ #
     # derived graphs
@@ -261,14 +338,14 @@ class DiGraph:
 
     def edge_specs(self) -> List[Tuple[int, int, Hashable]]:
         """The edge list as plain tuples, suitable for re-construction."""
-        return [(e.source, e.target, e.color) for e in self._edges]
+        return list(zip(self._sources, self._targets, self.edge_colors()))
 
     def with_values(self, values: Sequence[Any]) -> "DiGraph":
         """This graph carrying the given vertex valuation.
 
-        The result shares this graph's immutable edge tuple, adjacency,
-        port map and :class:`EdgeCache`, so building it costs O(n),
-        not an O(m) rebuild.  It is equal to
+        The result shares this graph's immutable edge arrays and
+        :class:`EdgeCache`, so building it costs O(n), not an O(m)
+        rebuild.  It is equal to
         ``DiGraph(self.n, self.edge_specs(), values=values)`` in every
         respect: edges, port numbering, fingerprint.
         """
@@ -285,18 +362,20 @@ class DiGraph:
     def _sharing_edges(self, values: Optional[Tuple[Any, ...]]) -> "DiGraph":
         clone = DiGraph.__new__(DiGraph)
         clone.n = self.n
-        clone._edges = self._edges
+        clone._sources = self._sources
+        clone._targets = self._targets
+        clone._colors = self._colors
+        clone._in_ids = self._in_ids
+        clone._out_ids = self._out_ids
+        clone._all_loops = self._all_loops
         clone._values = values
-        clone._out = self._out
-        clone._in = self._in
-        clone._out_ports = self._out_ports
         clone._fingerprint = None
         clone._edge_cache = self._edge_cache
         return clone
 
     def with_colors(self, color_fn: Callable[[Edge], Hashable]) -> "DiGraph":
         """A copy with each edge re-colored by ``color_fn(edge)``."""
-        specs = [(e.source, e.target, color_fn(e)) for e in self._edges]
+        specs = [(e.source, e.target, color_fn(e)) for e in self.edges]
         return DiGraph(self.n, specs, values=self._values)
 
     def with_port_colors(self) -> "DiGraph":
@@ -321,7 +400,7 @@ class DiGraph:
 
     def reverse(self) -> "DiGraph":
         """The graph with every edge reversed (colors preserved)."""
-        specs = [(e.target, e.source, e.color) for e in self._edges]
+        specs = zip(self._targets, self._sources, self.edge_colors())
         return DiGraph(self.n, specs, values=self._values)
 
     def symmetric_closure(self) -> "DiGraph":
@@ -331,7 +410,7 @@ class DiGraph:
         the *support* relation, used to turn arbitrary graphs into members
         of the symmetric network class.
         """
-        present = {(e.source, e.target) for e in self._edges}
+        present = set(zip(self._sources, self._targets))
         specs = self.edge_specs()
         for (s, t) in sorted(present):
             if (t, s) not in present:
@@ -340,13 +419,7 @@ class DiGraph:
 
     def simple_support(self) -> "DiGraph":
         """The simple graph with one edge per distinct ``(source, target)``."""
-        seen = set()
-        specs = []
-        for e in self._edges:
-            key = (e.source, e.target)
-            if key not in seen:
-                seen.add(key)
-                specs.append((e.source, e.target, None))
+        specs = dict.fromkeys(zip(self._sources, self._targets))
         return DiGraph(self.n, specs, values=self._values)
 
     # ------------------------------------------------------------------ #
@@ -356,8 +429,8 @@ class DiGraph:
     def adjacency_matrix(self) -> List[List[int]]:
         """``A[i][j]`` = number of edges ``i -> j`` (pure-Python ints)."""
         a = [[0] * self.n for _ in range(self.n)]
-        for e in self._edges:
-            a[e.source][e.target] += 1
+        for s, t in zip(self._sources, self._targets):
+            a[s][t] += 1
         return a
 
     # ------------------------------------------------------------------ #
@@ -388,11 +461,13 @@ class DiGraph:
         (the fingerprint's spelling: equal frozensets key equally)."""
         from repro.core.metrics import canonical_repr  # repro.core imports this module
 
-        return sorted((e.source, e.target, canonical_repr(e.color)) for e in self._edges)
+        spelled = map(canonical_repr, self.edge_colors())
+        return sorted(zip(self._sources, self._targets, spelled))
 
     def __getstate__(self):
-        # The edge cache may hold a hashlib object, which does not pickle;
-        # a copy starts with an empty cache and refills it on demand.
+        # The edge cache may hold a hashlib object, which does not pickle,
+        # and records a copy can rebuild; it starts with an empty cache
+        # and refills it on demand.
         state = {name: getattr(self, name) for name in self.__slots__}
         state["_edge_cache"] = EdgeCache()
         return None, state

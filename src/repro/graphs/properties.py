@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.graphs.digraph import DiGraph
 
@@ -48,19 +48,24 @@ def distances(g: DiGraph, source: int) -> List[Optional[int]]:
     return _bfs_distances(g, source)
 
 
+def _support(g: DiGraph) -> Set[Tuple[int, int]]:
+    """The distinct ``(source, target)`` pairs of ``g``'s edges."""
+    return {(v, t) for v in g.vertices() for t in g.out_neighbors(v)}
+
+
 def is_symmetric(g: DiGraph) -> bool:
     """True iff the *support* of the edge relation is symmetric.
 
     Per Section 2.1, a symmetric network has ``(i, j) ∈ E_t`` iff
     ``(j, i) ∈ E_t``; multiplicities of parallel edges are not compared.
     """
-    present = {(e.source, e.target) for e in g.edges}
+    present = _support(g)
     return all((t, s) in present for (s, t) in present)
 
 
 def is_complete(g: DiGraph) -> bool:
     """True iff every ordered pair (including self-loops) is an edge."""
-    present = {(e.source, e.target) for e in g.edges}
+    present = _support(g)
     return all((i, j) in present for i in g.vertices() for j in g.vertices())
 
 

@@ -225,7 +225,10 @@ class TestBatchRunner:
         with pytest.raises(ValueError, match="unknown runner"):
             BatchJob(CountMessages(), directed_ring(3), inputs=[0] * 3, runner="warp")
 
-    def test_observers_ride_along(self):
+    def test_observers_ride_along(self, monkeypatch):
+        # Counts the full graph's messages: under REPRO_QUOTIENT=1 the
+        # ring would run on its one-vertex base instead.
+        monkeypatch.delenv("REPRO_QUOTIENT", raising=False)
         g = directed_ring(4)
         counter = MessageCountObserver()
         run_batch(

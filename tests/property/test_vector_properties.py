@@ -312,6 +312,8 @@ class TestBatchBackends:
     def test_env_default_respected(self, monkeypatch):
         from repro.core.engine.vector import clear_vector_stats, vector_stats
 
+        # A set REPRO_QUOTIENT would win over REPRO_VECTOR.
+        monkeypatch.delenv("REPRO_QUOTIENT", raising=False)
         monkeypatch.setenv("REPRO_VECTOR", "1")
         clear_vector_stats()
         run_batch(_batch_jobs())
