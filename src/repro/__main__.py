@@ -31,7 +31,6 @@ import argparse
 import json
 import sys
 
-from repro.analysis.tables import format_results, reproduce_table1, reproduce_table2
 from repro.core.engine import EngineFlags
 
 
@@ -754,6 +753,8 @@ def main(argv=None) -> int:
         doc = reproduction_certificate(n=args.n, seed=args.seed, engine=engine)
         print(json.dumps(doc, indent=2))
         return 0 if doc["summary"]["verdict"] == "PASS" else 1
+
+    from repro.analysis.tables import format_results, reproduce_table1, reproduce_table2
 
     failures = 0
     if args.table in ("1", "both"):

@@ -14,55 +14,35 @@ Dynamic pipeline (Section 5): :mod:`.push_sum` (Theorem 5.2),
 
 Beyond the paper: :mod:`.onebit` — the one-bit broadcast scenario pack
 (OR-flooding and indegree census) for the fifth communication model.
+
+Names resolve on first access (PEP 562): importing one algorithm loads
+neither the others nor their dependencies.
 """
 
-from repro.algorithms.gossip import GossipAlgorithm
-from repro.algorithms.push_sum import PushSumAlgorithm, VectorPushSumAlgorithm
-from repro.algorithms.metropolis import MetropolisAlgorithm
-from repro.algorithms.constant_weight import ConstantWeightAveraging, ConstantWeightFrequency
-from repro.algorithms.rational import nearest_rational
-from repro.algorithms.push_sum_frequency import PushSumFrequencyAlgorithm
-from repro.algorithms.minimum_base_alg import (
-    DistributedMinimumBase,
-    OutdegreeViewAlgorithm,
-    PortViewAlgorithm,
-    SymmetricViewAlgorithm,
-    extract_base,
-)
-from repro.algorithms.fibre_solver import (
-    fibre_ratios_outdegree,
-    fibre_ratios_ports,
-    fibre_ratios_symmetric,
-)
-from repro.algorithms.frequency_static import StaticFunctionAlgorithm
-from repro.algorithms.multiset_static import (
-    known_size_algorithm,
-    leader_algorithm,
-)
-from repro.algorithms.history_tree import HistoryTreeAlgorithm
-from repro.algorithms.onebit import OneBitCensusAlgorithm, OneBitFloodingAlgorithm
+from repro import _lazy
 
-__all__ = [
-    "ConstantWeightAveraging",
-    "ConstantWeightFrequency",
-    "DistributedMinimumBase",
-    "GossipAlgorithm",
-    "HistoryTreeAlgorithm",
-    "MetropolisAlgorithm",
-    "OneBitCensusAlgorithm",
-    "OneBitFloodingAlgorithm",
-    "OutdegreeViewAlgorithm",
-    "PortViewAlgorithm",
-    "PushSumAlgorithm",
-    "PushSumFrequencyAlgorithm",
-    "StaticFunctionAlgorithm",
-    "SymmetricViewAlgorithm",
-    "VectorPushSumAlgorithm",
-    "extract_base",
-    "fibre_ratios_outdegree",
-    "fibre_ratios_ports",
-    "fibre_ratios_symmetric",
-    "known_size_algorithm",
-    "leader_algorithm",
-    "nearest_rational",
-]
+_EXPORTS = {
+    "repro.algorithms.gossip": ("GossipAlgorithm",),
+    "repro.algorithms.push_sum": ("PushSumAlgorithm", "VectorPushSumAlgorithm"),
+    "repro.algorithms.metropolis": ("MetropolisAlgorithm",),
+    "repro.algorithms.constant_weight": (
+        "ConstantWeightAveraging", "ConstantWeightFrequency",
+    ),
+    "repro.algorithms.rational": ("nearest_rational",),
+    "repro.algorithms.push_sum_frequency": ("PushSumFrequencyAlgorithm",),
+    "repro.algorithms.minimum_base_alg": (
+        "DistributedMinimumBase", "OutdegreeViewAlgorithm", "PortViewAlgorithm",
+        "SymmetricViewAlgorithm", "extract_base",
+    ),
+    "repro.algorithms.fibre_solver": (
+        "fibre_ratios_outdegree", "fibre_ratios_ports", "fibre_ratios_symmetric",
+    ),
+    "repro.algorithms.frequency_static": ("StaticFunctionAlgorithm",),
+    "repro.algorithms.multiset_static": ("known_size_algorithm", "leader_algorithm"),
+    "repro.algorithms.history_tree": ("HistoryTreeAlgorithm",),
+    "repro.algorithms.onebit": ("OneBitCensusAlgorithm", "OneBitFloodingAlgorithm"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

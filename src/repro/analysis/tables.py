@@ -44,7 +44,7 @@ from repro.core.computability import (
     computable_class,
 )
 from repro.algorithms.push_sum import PushSumAlgorithm
-from repro.core.engine import BatchJob, EngineFlags, PlanCache, run_batch
+from repro.core.engine import ENGINE_VERSION, BatchJob, EngineFlags, PlanCache, run_batch
 from repro.core.models import CommunicationModel
 from repro.core.network_class import Knowledge
 from repro.core.memo import memoized, memoized_minimum_base
@@ -653,6 +653,27 @@ def reproduce_table2(
     )
 
 
+def table_document(
+    kind: str, n: int, seed: int, cells: List[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """Assemble the deterministic document of one reproduced table.
+
+    Pure function of the cell payloads — no timestamps, no hostnames —
+    so interrupted-and-resumed runs emit the same bytes as clean ones.
+    """
+    return {
+        "kind": kind,
+        "engine_version": ENGINE_VERSION,
+        "parameters": {"n": n, "seed": seed},
+        "cells": cells,
+        "summary": {
+            "cells": len(cells),
+            "consistent": sum(1 for c in cells if c["consistent"]),
+            "verdict": "PASS" if all(c["consistent"] for c in cells) else "FAIL",
+        },
+    }
+
+
 def paper_table_document(
     table: int,
     n: Optional[int] = None,
@@ -665,7 +686,7 @@ def paper_table_document(
     behind ``configs/table1.json`` / ``table2.json``, the durable scenario
     jobs and the ``table1`` / ``table2`` jobs.
 
-    Assembles :func:`repro.store.jobs.table_document` over the
+    Assembles :func:`table_document` over the
     :func:`cell_to_payload` records, in :func:`table_specs` order — so a
     scenario config, a ``store submit table1`` job, and a direct
     ``reproduce_table1`` call all emit byte-identical documents (on every
@@ -677,7 +698,6 @@ def paper_table_document(
     there.
     """
     from repro.store.cache import resolve_store
-    from repro.store.jobs import table_document
 
     if table not in (1, 2):
         raise ValueError(f"table must be 1 or 2, got {table!r}")

@@ -9,58 +9,42 @@ round-level instrumentation); :mod:`.metrics` and :mod:`.convergence` —
 δ-computation in metric spaces; :mod:`.network_class` — network classes
 and centralized-help levels; :mod:`.computability` — the machine-readable
 form of Tables 1 & 2.
+
+Names resolve on first access (PEP 562): an untraced run never loads
+the tracer, and a grid run never loads the tables of :mod:`.computability`.
 """
 
-from repro.core.models import CommunicationModel
-from repro.core.agent import (
-    Algorithm,
-    BroadcastAlgorithm,
-    OneBitAlgorithm,
-    OutdegreeAlgorithm,
-    OutputPortAlgorithm,
-)
-from repro.core.execution import Execution
-from repro.core.engine import (
-    ENGINE_VERSION,
-    BatchJob,
-    BatchResult,
-    MetricsRegistry,
-    PlanCache,
-    TraceEvent,
-    Tracer,
-    attach_tracers,
-    events_from_jsonl,
-    events_to_jsonl,
-    merged_metrics,
-    read_jsonl,
-    run_batch,
-    trace_execution,
-    write_jsonl,
-)
-from repro.core.memo import (
-    MemoCache,
-    clear_memos,
-    intern_graph,
-    memo_disabled,
-    memo_enabled,
-    memo_stats,
-    memoized_equitable_partition,
-    memoized_minimum_base,
-    publish_memo_metrics,
-)
-from repro.core.metrics import canonical_repr, discrete_metric, euclidean_metric
-from repro.core.convergence import (
-    ConvergenceReport,
-    run_until_asymptotic,
-    run_until_stable,
-)
-from repro.core.network_class import Knowledge, NetworkClassSpec
-from repro.core.computability import (
-    CellCharacterization,
-    computable_class,
-    table1,
-    table2,
-)
+from repro import _lazy
+
+_EXPORTS = {
+    "repro.core.models": ("CommunicationModel",),
+    "repro.core.agent": (
+        "Algorithm", "BroadcastAlgorithm", "OneBitAlgorithm", "OutdegreeAlgorithm",
+        "OutputPortAlgorithm",
+    ),
+    "repro.core.execution": ("Execution",),
+    "repro.core.engine": ("ENGINE_VERSION",),
+    "repro.core.engine.batch": ("BatchJob", "BatchResult", "run_batch"),
+    "repro.core.engine.plan": ("PlanCache",),
+    "repro.core.engine.trace": (
+        "MetricsRegistry", "TraceEvent", "Tracer", "attach_tracers",
+        "events_from_jsonl", "events_to_jsonl", "merged_metrics", "read_jsonl",
+        "trace_execution", "write_jsonl",
+    ),
+    "repro.core.memo": (
+        "MemoCache", "clear_memos", "intern_graph", "memo_disabled", "memo_enabled",
+        "memo_stats", "memoized_equitable_partition", "memoized_minimum_base",
+        "publish_memo_metrics",
+    ),
+    "repro.core.metrics": ("canonical_repr", "discrete_metric", "euclidean_metric"),
+    "repro.core.convergence": (
+        "ConvergenceReport", "run_until_asymptotic", "run_until_stable",
+    ),
+    "repro.core.network_class": ("Knowledge", "NetworkClassSpec"),
+    "repro.core.computability": (
+        "CellCharacterization", "computable_class", "table1", "table2",
+    ),
+}
 
 __all__ = [
     "ENGINE_VERSION",
@@ -107,3 +91,5 @@ __all__ = [
     "table2",
     "write_jsonl",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

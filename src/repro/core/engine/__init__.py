@@ -37,6 +37,11 @@ measurable layers:
 :mod:`.reference` keeps a deliberately naive single-layer interpreter —
 the executable specification the property tests compare the fast path
 against, and the "old executor" baseline of ``benchmarks/bench_engine.py``.
+
+Names resolve on first access (PEP 562), so importing one layer loads
+none of the others; the quotient and vector layers subclass the
+:class:`~repro.core.execution.Execution` façade, which itself imports
+this package.
 """
 
 #: Engine generation, stamped into provenance manifests: "1" was the
@@ -46,86 +51,40 @@ against, and the "old executor" baseline of ``benchmarks/bench_engine.py``.
 #: "2"), "5" the vectorized numpy backend and the ring-buffer tracer.
 ENGINE_VERSION = "5"
 
-from repro.core.engine.plan import DeliveryPlan, PlanCache, compile_plan
-from repro.core.engine.transport import (
-    BroadcastTransport,
-    OneBitTransport,
-    OutdegreeTransport,
-    OutputPortTransport,
-    Transport,
-    transport_for,
-    validate_bit,
-)
-from repro.core.engine.instrumentation import (
-    BandwidthObserver,
-    MessageCountObserver,
-    RoundObserver,
-    RoundRecord,
-    SpreadObserver,
-    StateDigestObserver,
-    WallTimeObserver,
-    state_digest,
-)
-from repro.core.engine.stepper import EngineStepper
-from repro.core.engine.reference import ReferenceExecution
-from repro.core.engine.batch import (
-    BatchJob,
-    BatchResult,
-    EngineFlags,
-    run_batch,
-    select_backend,
-)
-# The quotient and vector layers subclass the Execution façade (which
-# itself imports this package), so they are exported lazily to keep the
-# import graph acyclic.
-_QUOTIENT_EXPORTS = (
-    "QuotientExecution",
-    "QUOTIENT_RATIO",
-    "clear_quotient_stats",
-    "publish_quotient_metrics",
-    "quotient_stats",
-)
+from repro import _lazy
 
-_VECTOR_EXPORTS = (
-    "VectorExecution",
-    "CSRPlan",
-    "VectorKernel",
-    "clear_vector_stats",
-    "csr_for",
-    "kernel_for",
-    "numpy_available",
-    "publish_vector_metrics",
-    "register_kernel",
-    "vector_stats",
-)
-
-
-def __getattr__(name):
-    if name in _QUOTIENT_EXPORTS:
-        from repro.core.engine import quotient
-
-        return getattr(quotient, name)
-    if name in _VECTOR_EXPORTS:
-        from repro.core.engine import vector
-
-        return getattr(vector, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-from repro.core.engine.trace import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TraceEvent,
-    Tracer,
-    attach_tracers,
-    events_from_jsonl,
-    events_to_jsonl,
-    merged_metrics,
-    read_jsonl,
-    trace_execution,
-    write_jsonl,
+__getattr__, __dir__ = _lazy.lazy_exports(
+    globals(),
+    {
+        "repro.core.engine.plan": ("DeliveryPlan", "PlanCache", "compile_plan"),
+        "repro.core.engine.transport": (
+            "BroadcastTransport", "OneBitTransport", "OutdegreeTransport",
+            "OutputPortTransport", "Transport", "transport_for", "validate_bit",
+        ),
+        "repro.core.engine.instrumentation": (
+            "BandwidthObserver", "MessageCountObserver", "RoundObserver", "RoundRecord",
+            "SpreadObserver", "StateDigestObserver", "WallTimeObserver", "state_digest",
+        ),
+        "repro.core.engine.stepper": ("EngineStepper",),
+        "repro.core.engine.reference": ("ReferenceExecution",),
+        "repro.core.engine.batch": (
+            "BatchJob", "BatchResult", "EngineFlags", "run_batch", "select_backend",
+        ),
+        "repro.core.engine.quotient": (
+            "QuotientExecution", "QUOTIENT_RATIO", "clear_quotient_stats",
+            "publish_quotient_metrics", "quotient_stats",
+        ),
+        "repro.core.engine.vector": (
+            "VectorExecution", "CSRPlan", "VectorKernel", "clear_vector_stats",
+            "csr_for", "kernel_for", "numpy_available", "publish_vector_metrics",
+            "register_kernel", "vector_stats",
+        ),
+        "repro.core.engine.trace": (
+            "Counter", "Gauge", "Histogram", "MetricsRegistry", "TraceEvent", "Tracer",
+            "attach_tracers", "events_from_jsonl", "events_to_jsonl", "merged_metrics",
+            "read_jsonl", "trace_execution", "write_jsonl",
+        ),
+    },
 )
 
 __all__ = [

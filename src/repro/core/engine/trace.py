@@ -40,13 +40,9 @@ observes.  Two guarantees back that up:
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
-
-try:  # Optional: the ring buffer stores rounds as a structured array.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image bundles numpy
-    _np = None
 
 from repro.core.agent import OutputPortAlgorithm
 from repro.core.engine.instrumentation import RoundRecord, state_digest
@@ -303,26 +299,34 @@ class MetricsRegistry:
 #: ``Tracer(ring_capacity=...)`` when a run needs its full round history.
 DEFAULT_RING_CAPACITY = 16384
 
-if _np is not None:
-    #: One round as a fixed-width binary record.  ``residual`` rides as a
-    #: float64 + presence flag (``None`` when residual tracking is off);
-    #: every field round-trips its Python value exactly (int64 covers the
-    #: crc32 digest range, float64 IS the Python float).
-    _ROUND_DTYPE = _np.dtype(
+
+@functools.lru_cache(maxsize=None)
+def _round_dtype():
+    """One round as a fixed-width binary record (``None`` without numpy).
+
+    Built when the first :class:`Tracer` is constructed, not at import,
+    so an untraced run never loads numpy.  ``residual`` rides as a
+    float64 + presence flag (``None`` when residual tracking is off);
+    every field round-trips its Python value exactly (int64 covers the
+    crc32 digest range, float64 IS the Python float).
+    """
+    try:  # Optional: the ring buffer stores rounds as a structured array.
+        import numpy as np
+    except ImportError:  # pragma: no cover - the CI image bundles numpy
+        return None
+    return np.dtype(
         [
-            ("seq", _np.int64),
-            ("round", _np.int64),
-            ("messages", _np.int64),
-            ("bytes_delivered", _np.int64),
-            ("bytes_peak", _np.int64),
-            ("residual", _np.float64),
-            ("has_residual", _np.bool_),
-            ("digest", _np.int64),
-            ("wall_seconds", _np.float64),
+            ("seq", np.int64),
+            ("round", np.int64),
+            ("messages", np.int64),
+            ("bytes_delivered", np.int64),
+            ("bytes_peak", np.int64),
+            ("residual", np.float64),
+            ("has_residual", np.bool_),
+            ("digest", np.int64),
+            ("wall_seconds", np.float64),
         ]
     )
-else:  # pragma: no cover - the CI image bundles numpy
-    _ROUND_DTYPE = None
 
 
 class Tracer:
@@ -383,6 +387,7 @@ class Tracer:
         self.residuals = residuals
         self.ring_capacity = int(ring_capacity)
         self._payload_units = None
+        self._dtype = _round_dtype()  # None: numpy-less fallback
         self._ring = None  # allocated on the first captured round
         self._ring_written = 0  # round records ever recorded (≥ retained)
         self._side: List[Tuple[int, TraceEvent]] = []  # non-round events
@@ -461,14 +466,16 @@ class Tracer:
     def _capture_round(self, round_number, messages, total, peak, residual, digest, wall) -> None:
         seq = self._seq
         self._seq = seq + 1
-        if _np is None:  # pragma: no cover - numpy-less fallback
+        if self._dtype is None:  # pragma: no cover - numpy-less fallback
             self._side.append(
                 (seq, _round_event(round_number, messages, total, peak, residual, digest, wall))
             )
             return
         ring = self._ring
         if ring is None:
-            ring = self._ring = _np.zeros(self.ring_capacity, dtype=_ROUND_DTYPE)
+            import numpy
+
+            ring = self._ring = numpy.zeros(self.ring_capacity, dtype=self._dtype)
         ring[self._ring_written % self.ring_capacity] = (
             seq,
             round_number,
@@ -585,7 +592,7 @@ class Tracer:
         return [event for _seq, event in merged]
 
     def round_events(self) -> List[TraceEvent]:
-        if _np is None:  # pragma: no cover - numpy-less fallback
+        if self._dtype is None:  # pragma: no cover - numpy-less fallback
             return [e for _seq, e in self._side if e.kind == "round"]
         return [event for _seq, event in self._decode_ring()]
 

@@ -1,32 +1,31 @@
-"""Dynamic graphs: the time-varying networks of Sections 2 and 5."""
+"""Dynamic graphs: the time-varying networks of Sections 2 and 5.
 
-from repro.dynamics.dynamic_graph import (
-    DynamicGraph,
-    FunctionDynamicGraph,
-    PeriodicDynamicGraph,
-    SequenceDynamicGraph,
-    StaticAsDynamic,
-)
-from repro.dynamics.generators import (
-    random_dynamic_strongly_connected,
-    recurring_dynamic_pool,
-    random_dynamic_symmetric,
-    sparse_pulsed_dynamic,
-)
-from repro.dynamics.diameter import dynamic_diameter, window_to_completeness
-from repro.dynamics.starts import AsynchronousStartGraph
-from repro.dynamics.weak_connectivity import (
-    certify_unbounded_diameter,
-    eventually_split_dynamic,
-    growing_gap_dynamic,
-)
-from repro.dynamics.pairwise import random_matching_dynamic
-from repro.dynamics.adversarial import (
-    bottleneck_dynamic,
-    rooted_tree_dynamic,
-    rotating_star_dynamic,
-)
-from repro.dynamics.lossy import LossyDynamicGraph
+Names resolve on first access (PEP 562): the engine needs only
+:class:`DynamicGraph`, not the generators around it.
+"""
+
+from repro import _lazy
+
+_EXPORTS = {
+    "repro.dynamics.dynamic_graph": (
+        "DynamicGraph", "FunctionDynamicGraph", "PeriodicDynamicGraph",
+        "SequenceDynamicGraph", "StaticAsDynamic",
+    ),
+    "repro.dynamics.generators": (
+        "random_dynamic_strongly_connected", "recurring_dynamic_pool",
+        "random_dynamic_symmetric", "sparse_pulsed_dynamic",
+    ),
+    "repro.dynamics.diameter": ("dynamic_diameter", "window_to_completeness"),
+    "repro.dynamics.starts": ("AsynchronousStartGraph",),
+    "repro.dynamics.weak_connectivity": (
+        "certify_unbounded_diameter", "eventually_split_dynamic", "growing_gap_dynamic",
+    ),
+    "repro.dynamics.pairwise": ("random_matching_dynamic",),
+    "repro.dynamics.adversarial": (
+        "bottleneck_dynamic", "rooted_tree_dynamic", "rotating_star_dynamic",
+    ),
+    "repro.dynamics.lossy": ("LossyDynamicGraph",),
+}
 
 __all__ = [
     "AsynchronousStartGraph",
@@ -50,3 +49,5 @@ __all__ = [
     "sparse_pulsed_dynamic",
     "window_to_completeness",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -6,36 +6,27 @@ classes and empirical classifiers; :mod:`.library` the concrete functions
 used by the experiments (min, max, average, sum, threshold predicates,
 quot-sum, ...); :mod:`.continuity` the notion of δ-continuity in frequency
 (Section 5.4).
+
+Names resolve on first access (PEP 562).
 """
 
-from repro.functions.frequency import FrequencyFunction, frequencies_of, canonical_vector
-from repro.functions.classes import (
-    FunctionClass,
-    NamedFunction,
-    frequency_based,
-    is_class_empirically,
-    multiset_based,
-    set_based,
-)
-from repro.functions.library import (
-    AVERAGE,
-    COUNT_DISTINCT,
-    EXTENDED_LIBRARY,
-    FUNCTION_LIBRARY,
-    MAXIMUM,
-    MEDIAN,
-    MINIMUM,
-    MODE,
-    SIZE,
-    SUM,
-    SUPPORT_SET,
-    VARIANCE,
-    frequency_of,
-    multiplicity_of,
-    quot_sum,
-    threshold_predicate,
-)
-from repro.functions.continuity import is_continuous_in_frequency_empirically
+from repro import _lazy
+
+_EXPORTS = {
+    "repro.functions.frequency": (
+        "FrequencyFunction", "frequencies_of", "canonical_vector",
+    ),
+    "repro.functions.classes": (
+        "FunctionClass", "NamedFunction", "frequency_based", "is_class_empirically",
+        "multiset_based", "set_based",
+    ),
+    "repro.functions.library": (
+        "AVERAGE", "COUNT_DISTINCT", "EXTENDED_LIBRARY", "FUNCTION_LIBRARY", "MAXIMUM",
+        "MEDIAN", "MINIMUM", "MODE", "SIZE", "SUM", "SUPPORT_SET", "VARIANCE",
+        "frequency_of", "multiplicity_of", "quot_sum", "threshold_predicate",
+    ),
+    "repro.functions.continuity": ("is_continuous_in_frequency_empirically",),
+}
 
 __all__ = [
     "AVERAGE",
@@ -65,3 +56,5 @@ __all__ = [
     "set_based",
     "threshold_predicate",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -7,63 +7,30 @@ distances (:mod:`repro.graphs.properties`), the round-composition product of
 dynamic-network theory (:mod:`repro.graphs.products`), isomorphism testing
 (:mod:`repro.graphs.isomorphism`), and the hash-consed in-view structures of
 Boldi and Vigna (:mod:`repro.graphs.views`).
+
+Names resolve on first access (PEP 562): importing the graph type does
+not load the isomorphism search or the product constructions.
 """
 
-from repro.graphs.digraph import DiGraph, Edge
-from repro.graphs.builders import (
-    bidirectional_ring,
-    complete_bipartite,
-    complete_graph,
-    de_bruijn_graph,
-    directed_ring,
-    hypercube,
-    lollipop,
-    path_graph,
-    random_strongly_connected,
-    random_symmetric_connected,
-    star_graph,
-    torus,
-    wheel_graph,
-)
-from repro.graphs.products import graph_product, iterated_product
-from repro.graphs.properties import (
-    diameter,
-    indegree_sequence,
-    is_complete,
-    is_strongly_connected,
-    is_symmetric,
-    outdegree_sequence,
-)
-from repro.graphs.isomorphism import are_isomorphic, find_isomorphism
-from repro.graphs.views import View, ViewBuilder, view_of
+from repro import _lazy
 
-__all__ = [
-    "DiGraph",
-    "Edge",
-    "View",
-    "ViewBuilder",
-    "are_isomorphic",
-    "bidirectional_ring",
-    "complete_bipartite",
-    "complete_graph",
-    "de_bruijn_graph",
-    "diameter",
-    "directed_ring",
-    "find_isomorphism",
-    "graph_product",
-    "hypercube",
-    "indegree_sequence",
-    "is_complete",
-    "is_strongly_connected",
-    "is_symmetric",
-    "iterated_product",
-    "lollipop",
-    "outdegree_sequence",
-    "path_graph",
-    "random_strongly_connected",
-    "random_symmetric_connected",
-    "star_graph",
-    "torus",
-    "view_of",
-    "wheel_graph",
-]
+_EXPORTS = {
+    "repro.graphs.digraph": ("DiGraph", "Edge"),
+    "repro.graphs.builders": (
+        "bidirectional_ring", "complete_bipartite", "complete_graph",
+        "de_bruijn_graph", "directed_ring", "hypercube", "lollipop", "path_graph",
+        "random_strongly_connected", "random_symmetric_connected", "star_graph",
+        "torus", "wheel_graph",
+    ),
+    "repro.graphs.products": ("graph_product", "iterated_product"),
+    "repro.graphs.properties": (
+        "diameter", "indegree_sequence", "is_complete", "is_strongly_connected",
+        "is_symmetric", "outdegree_sequence",
+    ),
+    "repro.graphs.isomorphism": ("are_isomorphic", "find_isomorphism"),
+    "repro.graphs.views": ("View", "ViewBuilder", "view_of"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

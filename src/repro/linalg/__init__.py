@@ -5,40 +5,26 @@ pipeline ("Gaussian elimination over the Euclidean ring ℤ", §4.2);
 :mod:`.perron` — the Perron–Frobenius analysis of the fibre matrix ``M``;
 :mod:`.stochastic` — column-stochastic matrices, backward products,
 α-safety, and Dobrushin's ergodic coefficient for the dynamic pipeline (§5).
+
+Names resolve on first access (PEP 562): :mod:`.exact` is pure
+``Fraction`` arithmetic, and importing it does not load numpy.
 """
 
-from repro.linalg.exact import (
-    gcd_list,
-    integer_kernel_vector,
-    kernel_basis,
-    lcm_list,
-    rational_rank,
-)
-from repro.linalg.perron import fibre_matrix, perron_root, kernel_dimension_is_one
-from repro.linalg.stochastic import (
-    alpha_safety,
-    backward_product,
-    dobrushin_coefficient,
-    is_column_stochastic,
-    is_row_stochastic,
-    metropolis_matrix,
-    push_sum_matrix,
-)
+from repro import _lazy
 
-__all__ = [
-    "alpha_safety",
-    "backward_product",
-    "dobrushin_coefficient",
-    "fibre_matrix",
-    "gcd_list",
-    "integer_kernel_vector",
-    "is_column_stochastic",
-    "is_row_stochastic",
-    "kernel_basis",
-    "kernel_dimension_is_one",
-    "lcm_list",
-    "metropolis_matrix",
-    "perron_root",
-    "push_sum_matrix",
-    "rational_rank",
-]
+_EXPORTS = {
+    "repro.linalg.exact": (
+        "gcd_list", "integer_kernel_vector", "kernel_basis", "lcm_list",
+        "rational_rank",
+    ),
+    "repro.linalg.perron": ("fibre_matrix", "perron_root", "kernel_dimension_is_one"),
+    "repro.linalg.stochastic": (
+        "alpha_safety", "backward_product", "dobrushin_coefficient",
+        "is_column_stochastic", "is_row_stochastic", "metropolis_matrix",
+        "push_sum_matrix",
+    ),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -21,11 +21,6 @@ from typing import Any
 from repro.scenarios.errors import ScenarioFileError
 from repro.scenarios.schema import Scenario, validate_scenario
 
-try:  # Python 3.11+
-    import tomllib
-except ImportError:  # pragma: no cover - exercised on 3.9/3.10 CI legs
-    tomllib = None
-
 
 def parse_scenario_text(text: str, fmt: str, source: str) -> Any:
     """Parse raw config text (``fmt`` is ``"json"`` or ``"toml"``) into
@@ -36,12 +31,14 @@ def parse_scenario_text(text: str, fmt: str, source: str) -> Any:
         except json.JSONDecodeError as exc:
             raise ScenarioFileError(source, f"malformed JSON: {exc}") from None
     if fmt == "toml":
-        if tomllib is None:
+        try:  # Python 3.11+; imported here so JSON runs never load it
+            import tomllib
+        except ImportError:  # pragma: no cover - exercised on 3.9/3.10 CI legs
             raise ScenarioFileError(
                 source,
                 "TOML configs need Python 3.11+ (tomllib is unavailable); "
                 "rewrite the config as JSON",
-            )
+            ) from None
         try:
             return tomllib.loads(text)
         except tomllib.TOMLDecodeError as exc:

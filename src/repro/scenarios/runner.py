@@ -200,7 +200,7 @@ def compute_grid_row(
 
 def scenario_document(scenario: Scenario, rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Assemble the deterministic document of one grid scenario — same
-    discipline as :func:`repro.store.jobs.table_document`: a pure
+    discipline as :func:`repro.analysis.tables.table_document`: a pure
     function of the rows, so interrupted-and-resumed runs emit the same
     bytes as clean ones."""
     consistent = sum(1 for row in rows if row["consistent"])

@@ -13,48 +13,22 @@ Three modules, stdlib only:
 Attributes resolve lazily (PEP 562), matching :mod:`repro.store`.
 """
 
-from __future__ import annotations
+from repro import _lazy
 
 _EXPORTS = {
-    # http
-    "DEFAULT_MAX_BODY": "repro.service.http",
-    "DEFAULT_MAX_HEAD": "repro.service.http",
-    "HttpError": "repro.service.http",
-    "Request": "repro.service.http",
-    "RequestReader": "repro.service.http",
-    "error_response": "repro.service.http",
-    "json_response": "repro.service.http",
-    "response_bytes": "repro.service.http",
-    "sse_comment": "repro.service.http",
-    "sse_event": "repro.service.http",
-    "sse_headers": "repro.service.http",
-    # app
-    "DEFAULT_BACKLOG": "repro.service.app",
-    "DEFAULT_PORT": "repro.service.app",
-    "SERVICE_BACKLOG_ENV": "repro.service.app",
-    "SERVICE_PORT_ENV": "repro.service.app",
-    "ExperimentService": "repro.service.app",
-    "publish_service_metrics": "repro.service.app",
-    "serve": "repro.service.app",
-    "serve_async": "repro.service.app",
-    "service_backlog": "repro.service.app",
-    "service_port": "repro.service.app",
-    # client
-    "ServiceClient": "repro.service.client",
-    "ServiceError": "repro.service.client",
+    "repro.service.http": (
+        "DEFAULT_MAX_BODY", "DEFAULT_MAX_HEAD", "HttpError", "Request",
+        "RequestReader", "error_response", "json_response", "response_bytes",
+        "sse_comment", "sse_event", "sse_headers",
+    ),
+    "repro.service.app": (
+        "DEFAULT_BACKLOG", "DEFAULT_PORT", "SERVICE_BACKLOG_ENV", "SERVICE_PORT_ENV",
+        "ExperimentService", "publish_service_metrics", "serve", "serve_async",
+        "service_backlog", "service_port",
+    ),
+    "repro.service.client": ("ServiceClient", "ServiceError"),
 }
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
-
-def __getattr__(name):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.service' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

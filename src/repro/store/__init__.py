@@ -19,65 +19,32 @@ importing everything here would be a cycle.  ``from repro.store import
 ResultStore`` works either way.
 """
 
-from __future__ import annotations
+from repro import _lazy
 
 _EXPORTS = {
-    # atomic
-    "atomic_write_bytes": "repro.store.atomic",
-    "atomic_write_text": "repro.store.atomic",
-    "append_line": "repro.store.atomic",
-    "sweep_temp_files": "repro.store.atomic",
-    # cache
-    "ResultStore": "repro.store.cache",
-    "result_key": "repro.store.cache",
-    "canonical_params": "repro.store.cache",
-    "default_store": "repro.store.cache",
-    "resolve_store": "repro.store.cache",
-    "fetch_or_compute": "repro.store.cache",
-    "fetch_or_compute_bytes": "repro.store.cache",
-    "STORE_ENV": "repro.store.cache",
-    # events
-    "JobEventLog": "repro.store.events",
-    "MAX_EVENTS_PER_JOB": "repro.store.events",
-    # scheduler
-    "JobQueue": "repro.store.scheduler",
-    "JobRecord": "repro.store.scheduler",
-    "LeaseBroken": "repro.store.scheduler",
-    "job_id_for": "repro.store.scheduler",
-    "default_heartbeat_seconds": "repro.store.scheduler",
-    "default_lease_ttl": "repro.store.scheduler",
-    # shard
-    "ShardedJobQueue": "repro.store.shard",
-    "ShardLayoutError": "repro.store.shard",
-    "shard_for": "repro.store.shard",
-    # orchestrator
-    "Orchestrator": "repro.store.orchestrator",
-    "orchestrate": "repro.store.orchestrator",
-    "publish_orchestrator_metrics": "repro.store.orchestrator",
-    # jobs
-    "run_worker": "repro.store.jobs",
-    "run_job": "repro.store.jobs",
-    "open_store": "repro.store.jobs",
-    "open_queue": "repro.store.jobs",
-    "document_key": "repro.store.jobs",
-    "table_document": "repro.store.jobs",
-    "noop_document": "repro.store.jobs",
-    "expected_result_key": "repro.store.jobs",
-    "store_status_payload": "repro.store.jobs",
-    "JOB_KINDS": "repro.store.jobs",
+    "repro.store.atomic": (
+        "atomic_write_bytes", "atomic_write_text", "append_line", "sweep_temp_files",
+    ),
+    "repro.store.cache": (
+        "ResultStore", "result_key", "canonical_params", "default_store",
+        "resolve_store", "fetch_or_compute", "fetch_or_compute_bytes", "STORE_ENV",
+    ),
+    "repro.store.events": ("JobEventLog", "MAX_EVENTS_PER_JOB"),
+    "repro.store.scheduler": (
+        "JobQueue", "JobRecord", "LeaseBroken", "job_id_for",
+        "default_heartbeat_seconds", "default_lease_ttl",
+    ),
+    "repro.store.shard": ("ShardedJobQueue", "ShardLayoutError", "shard_for"),
+    "repro.store.orchestrator": (
+        "Orchestrator", "orchestrate", "publish_orchestrator_metrics",
+    ),
+    "repro.store.jobs": (
+        "run_worker", "run_job", "open_store", "open_queue", "document_key",
+        "noop_document", "expected_result_key", "store_status_payload", "JOB_KINDS",
+    ),
+    "repro.analysis.tables": ("table_document",),
 }
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
-
-def __getattr__(name):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.store' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -34,11 +34,18 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Union
 
+from repro import _lazy
 from repro.core.engine import ENGINE_VERSION, EngineFlags
 from repro.store.cache import ResultStore, canonical_params, result_key
 from repro.store.events import JobEventLog
 from repro.store.scheduler import JobQueue, JobRecord
 from repro.store.shard import MANIFEST_NAME, ShardedJobQueue, ShardLayoutError
+
+# ``table_document`` lives beside the table harness.  Reading it here
+# imports that harness then, not whenever a store or serve command starts.
+__getattr__, __dir__ = _lazy.lazy_exports(
+    globals(), {"repro.analysis.tables": ("table_document",)}
+)
 
 #: Job kinds the worker loop knows how to run.
 JOB_KINDS = ("table1", "table2", "certificate", "sweep", "scenario", "noop")
@@ -124,27 +131,6 @@ def _unit_progress(
         "progress",
         {"kind": record.kind, "units_done": done, "units_total": total},
     )
-
-
-def table_document(
-    kind: str, n: int, seed: int, cells: List[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Assemble the deterministic document of one reproduced table.
-
-    Pure function of the cell payloads — no timestamps, no hostnames —
-    so interrupted-and-resumed runs emit the same bytes as clean ones.
-    """
-    return {
-        "kind": kind,
-        "engine_version": ENGINE_VERSION,
-        "parameters": {"n": n, "seed": seed},
-        "cells": cells,
-        "summary": {
-            "cells": len(cells),
-            "consistent": sum(1 for c in cells if c["consistent"]),
-            "verdict": "PASS" if all(c["consistent"] for c in cells) else "FAIL",
-        },
-    }
 
 
 def _engine_flags(params: Dict[str, Any]) -> EngineFlags:

@@ -40,12 +40,18 @@ class TestApiReference:
 
 @pytest.mark.parametrize(
     "package",
-    ["repro", "repro.store", "repro.service", "repro.fibrations", "repro.core.engine"],
+    [
+        "repro", "repro.store", "repro.service", "repro.fibrations", "repro.core.engine",
+        "repro.algorithms", "repro.analysis", "repro.linalg", "repro.dynamics",
+        "repro.core", "repro.graphs", "repro.functions",
+    ],
 )
 def test_every_exported_name_resolves(package):
-    # repro.store and repro.service resolve names lazily (PEP 562): a
-    # name whose module is gone fails only when someone reads it.
+    # Every package but repro.fibrations resolves names lazily (PEP 562):
+    # a name whose module is gone fails only when someone reads it, and
+    # dir() lists a name only if the package's __dir__ knows it.
     module = importlib.import_module(package)
+    assert set(module.__all__) <= set(dir(module))
     unresolved = []
     for name in module.__all__:
         try:
