@@ -20,6 +20,9 @@ per round; the vector engine runs the same rounds as numpy
 gather/segment-reduce over cached CSR index arrays.  Acceptance bar:
 ``vector ≥ 10×`` object on this workload.
 
+Each workload times its two contenders interleaved (a, b, a, b, …), so
+a change in host speed during the run hits both sides alike.
+
 Results are written to ``BENCH_engine.json`` next to this file's repo
 root, and the static-ring speedup is asserted ≥ 2× (the refactor's
 acceptance bar).
@@ -67,16 +70,22 @@ class FloodCount(BroadcastAlgorithm):
         return state
 
 
-def _throughput(make_execution, rounds: int = ROUNDS, repeats: int = REPEATS) -> float:
-    """Best-of-``repeats`` rounds/sec for a fresh execution each repeat."""
-    best = 0.0
+def _one_run(make_execution, rounds: int) -> float:
+    """Rounds/sec of a single fresh execution."""
+    execution = make_execution()
+    started = time.perf_counter()
+    execution.run(rounds)
+    return rounds / (time.perf_counter() - started)
+
+
+def _paired_throughput(make_a, make_b, rounds: int = ROUNDS, repeats: int = REPEATS):
+    """Best-of-``repeats`` rounds/sec for two contenders, interleaved
+    a, b, a, b, … so a change in host speed hits both equally."""
+    best_a = best_b = 0.0
     for _ in range(repeats):
-        execution = make_execution()
-        started = time.perf_counter()
-        execution.run(rounds)
-        elapsed = time.perf_counter() - started
-        best = max(best, rounds / elapsed)
-    return best
+        best_a = max(best_a, _one_run(make_a, rounds))
+        best_b = max(best_b, _one_run(make_b, rounds))
+    return best_a, best_b
 
 
 def _workloads():
@@ -130,8 +139,9 @@ def _vector_workload():
     # Longer timed section + more repeats than the interpreter workloads:
     # the vector engine finishes 300 rounds in ~10ms, so per-run jitter
     # needs more amortization before the ratio stabilizes.
-    object_rps = _throughput(make(Execution), rounds=600, repeats=5)
-    vector_rps = _throughput(make(VectorExecution), rounds=600, repeats=5)
+    object_rps, vector_rps = _paired_throughput(
+        make(Execution), make(VectorExecution), rounds=600, repeats=5
+    )
     return {
         "object_rounds_per_sec": round(object_rps, 1),
         "vector_rounds_per_sec": round(vector_rps, 1),
@@ -142,8 +152,7 @@ def _vector_workload():
 def run_bench() -> dict:
     results = {"n": N, "rounds": ROUNDS, "workloads": {}}
     for name, (make_old, make_new) in _workloads().items():
-        old_rps = _throughput(make_old)
-        new_rps = _throughput(make_new)
+        old_rps, new_rps = _paired_throughput(make_old, make_new)
         results["workloads"][name] = {
             "old_rounds_per_sec": round(old_rps, 1),
             "new_rounds_per_sec": round(new_rps, 1),

@@ -1,22 +1,13 @@
-"""Experiment E4 — worklist partition refinement + fingerprint memoization.
+"""Experiment E4 — worklist partition refinement.
 
-Two layers of the PR-4 optimisation, measured separately:
-
-* **Partition refinement** — the Hopcroft/Paige–Tarjan-style worklist
-  refiner (``equitable_partition``) against the retained naive
-  iterate-to-fixpoint reference (``equitable_partition_reference``).
-  The adversarial workload is a **uniform directed chain**: the naive
-  refiner discovers one new class per full pass (Θ(n) passes of Θ(n)
-  signature work), while the worklist pops one singleton splitter per
-  split.  A valued bidirectional ring that collapses in one pass is kept
-  as the honest near-best case for the naive code.
-
-* **Plan interning** — ``bench_engine``'s ``random_dynamic_64`` workload
-  rerun against a *recurring* adversary (a fixed pool of ``PERIOD``
-  graphs cycled per round, the regime of Chakraborty–Milani–Mosteiro).
-  With ``intern=True`` the round graphs are collapsed through the
-  content-addressed memo layer, so the engine compiles ``PERIOD`` plans
-  total instead of one per round; ``intern=False`` is the baseline.
+The Hopcroft/Paige–Tarjan-style worklist refiner
+(``equitable_partition``) against the retained naive iterate-to-fixpoint
+reference (``equitable_partition_reference``).  The adversarial workload
+is a **uniform directed chain**: the naive refiner discovers one new
+class per full pass (Θ(n) passes of Θ(n) signature work), while the
+worklist pops one singleton splitter per split.  A valued bidirectional
+ring that collapses in one pass is kept as the honest near-best case for
+the naive code.
 
 Results are written to ``BENCH_fibrations.json`` at the repo root; the
 chain speedup at n = 256 is asserted ≥ 5× (the PR's acceptance bar).
@@ -32,11 +23,7 @@ import time
 from pathlib import Path
 
 from conftest import emit
-from bench_engine import FloodCount
 
-from repro.core.execution import Execution
-from repro.core.memo import clear_memos
-from repro.dynamics.generators import recurring_dynamic_pool
 from repro.fibrations.minimum_base import (
     equitable_partition,
     equitable_partition_reference,
@@ -45,9 +32,6 @@ from repro.fibrations.minimum_base import (
 from repro.graphs.builders import bidirectional_ring
 from repro.graphs.digraph import DiGraph
 
-N_ENGINE = 64
-ROUNDS = 300
-PERIOD = 5
 REPEATS = 5
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fibrations.json"
 
@@ -79,26 +63,8 @@ def _best_seconds(fn, repeats: int = REPEATS) -> float:
     return best
 
 
-def _one_run(make_execution, rounds: int = ROUNDS) -> float:
-    """Rounds/sec of a single fresh execution."""
-    execution = make_execution()
-    started = time.perf_counter()
-    execution.run(rounds)
-    return rounds / (time.perf_counter() - started)
-
-
-def _paired_throughput(make_a, make_b, repeats: int = 3):
-    """Best-of-``repeats`` rounds/sec for two contenders, interleaved
-    a, b, a, b, … so background-load drift hits both equally."""
-    best_a = best_b = 0.0
-    for _ in range(repeats):
-        best_a = max(best_a, _one_run(make_a))
-        best_b = max(best_b, _one_run(make_b))
-    return best_a, best_b
-
-
 def run_bench() -> dict:
-    results = {"partition": {}, "plan_interning": {}}
+    results = {"partition": {}}
 
     for name, make_graph in PARTITION_WORKLOADS.items():
         g = make_graph()
@@ -113,29 +79,6 @@ def run_bench() -> dict:
             "speedup": round(ref / wl, 2),
         }
 
-    clear_memos()
-    inputs = list(range(N_ENGINE))
-    baseline_rps, interned_rps = _paired_throughput(
-        lambda: Execution(
-            FloodCount(),
-            recurring_dynamic_pool(N_ENGINE, period=PERIOD, seed=7, intern=False),
-            inputs=inputs,
-        ),
-        lambda: Execution(
-            FloodCount(),
-            recurring_dynamic_pool(N_ENGINE, period=PERIOD, seed=7, intern=True),
-            inputs=inputs,
-        ),
-    )
-    results["plan_interning"]["recurring_dynamic_64"] = {
-        "n": N_ENGINE,
-        "rounds": ROUNDS,
-        "period": PERIOD,
-        "baseline_rounds_per_sec": round(baseline_rps, 1),
-        "interned_rounds_per_sec": round(interned_rps, 1),
-        "speedup": round(interned_rps / baseline_rps, 2),
-    }
-
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     return results
 
@@ -146,12 +89,6 @@ def _render(results: dict) -> str:
         lines.append(
             f"  {name:<20} naive {r['reference_seconds'] * 1e3:>9.2f} ms   "
             f"worklist {r['worklist_seconds'] * 1e3:>8.2f} ms   ({r['speedup']:.2f}x)"
-        )
-    lines.append(f"Plan interning (recurring pool of {PERIOD}, {ROUNDS} rounds)")
-    for name, r in results["plan_interning"].items():
-        lines.append(
-            f"  {name:<20} fresh {r['baseline_rounds_per_sec']:>9.1f} r/s   "
-            f"interned {r['interned_rounds_per_sec']:>8.1f} r/s   ({r['speedup']:.2f}x)"
         )
     lines.append(f"  -> {RESULT_PATH.name}")
     return "\n".join(lines)
@@ -164,14 +101,6 @@ def test_fibration_refinement_speedup():
     assert chain["speedup"] >= 5.0, (
         f"worklist speedup {chain['speedup']}x on the n=256 chain is below "
         f"the 5x acceptance bar"
-    )
-    # The interning gain on this workload is real but modest (~10%: plan
-    # compilation is O(n + m) against a round that is also O(n + m) but
-    # constant-heavier), so the test only guards against interning
-    # *costing* throughput; the recorded JSON carries the honest number.
-    interning = results["plan_interning"]["recurring_dynamic_64"]
-    assert interning["speedup"] >= 0.9, (
-        f"plan interning materially slower than per-round compilation: {interning}"
     )
 
 

@@ -94,17 +94,6 @@ def trace_main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--recurring",
-        type=int,
-        default=None,
-        metavar="P",
-        help=(
-            "run on a dynamic adversary cycling through a pool of P random "
-            "graphs (graph interning on: revisited topologies reuse their "
-            "compiled plans; memo counters land in the summary metrics)"
-        ),
-    )
-    parser.add_argument(
         "--out",
         default=None,
         help="write the JSONL stream to this path (default: stdout)",
@@ -119,11 +108,7 @@ def trace_main(argv=None) -> int:
     from repro.core.engine.vector import publish_vector_metrics, vector_stats
     from repro.core.memo import memo_stats, publish_memo_metrics
 
-    if args.recurring is not None:
-        from repro.dynamics.generators import recurring_dynamic_pool
-
-        network = recurring_dynamic_pool(args.n, period=args.recurring, seed=args.seed)
-    elif args.dynamic:
+    if args.dynamic:
         from repro.dynamics.generators import random_dynamic_strongly_connected
 
         network = random_dynamic_strongly_connected(args.n, seed=args.seed)
@@ -144,7 +129,7 @@ def trace_main(argv=None) -> int:
         from repro.graphs.builders import random_strongly_connected
 
         network = random_strongly_connected(args.n, seed=args.seed)
-    n = args.n if args.dynamic or args.recurring is not None else network.n
+    n = args.n if args.dynamic else network.n
 
     # The symmetric families get fibrewise-constant inputs (the minimum
     # base of a vertex-transitive graph is a single vertex, and the
@@ -153,13 +138,13 @@ def trace_main(argv=None) -> int:
     # --quotient, so the flag changes execution strategy, not the run.
     if args.algorithm == "gossip":
         algorithm = GossipAlgorithm(max)
-        if args.graph != "random" and not args.dynamic and args.recurring is None:
+        if args.graph != "random" and not args.dynamic:
             inputs = [(args.seed * 7919) % 101] * n
         else:
             inputs = [(v * 7919 + args.seed) % 101 for v in range(n)]
     else:
         algorithm = PushSumAlgorithm()
-        if args.graph != "random" and not args.dynamic and args.recurring is None:
+        if args.graph != "random" and not args.dynamic:
             inputs = [float(args.seed % 7 + 1)] * n
         else:
             inputs = [float(v + 1) for v in range(n)]
@@ -181,8 +166,6 @@ def trace_main(argv=None) -> int:
     publish_vector_metrics(tracer.registry, vector_baseline)
 
     extra = {"algorithm": args.algorithm, "dynamic": args.dynamic}
-    if args.recurring is not None:
-        extra["recurring"] = args.recurring
     if args.graph != "random":
         extra["graph"] = args.graph
     if args.quotient:

@@ -32,9 +32,8 @@ _EXPORTS = {
         "trace_execution", "write_jsonl",
     ),
     "repro.core.memo": (
-        "MemoCache", "clear_memos", "intern_graph", "memo_disabled", "memo_enabled",
-        "memo_stats", "memoized_equitable_partition", "memoized_minimum_base",
-        "publish_memo_metrics",
+        "MemoCache", "clear_memos", "memo_disabled", "memo_enabled", "memo_stats",
+        "memoized_minimum_base", "publish_memo_metrics",
     ),
     "repro.core.metrics": ("canonical_repr", "discrete_metric", "euclidean_metric"),
     "repro.core.convergence": (
@@ -74,11 +73,9 @@ __all__ = [
     "euclidean_metric",
     "events_from_jsonl",
     "events_to_jsonl",
-    "intern_graph",
     "memo_disabled",
     "memo_enabled",
     "memo_stats",
-    "memoized_equitable_partition",
     "memoized_minimum_base",
     "merged_metrics",
     "publish_memo_metrics",

@@ -30,7 +30,6 @@ import time
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from repro.core import memo
 from repro.graphs.digraph import DiGraph
 from repro.graphs.properties import is_symmetric
 
@@ -65,7 +64,7 @@ class DeliveryPlan:
         # Lazily attached by repro.core.engine.vector.csr_for: the same
         # delivery schedule as flat numpy index arrays.  Kept on the plan
         # so CSR compilation amortizes exactly like the plan itself does
-        # (once per distinct graph, shared through the memo layer).
+        # (once per distinct graph).
         self._csr = None
 
     @property
@@ -105,7 +104,8 @@ class PlanCache:
 
     Keys are ``(id(graph), epoch)``: graphs are immutable, so object
     identity is a sound cache key as long as the graph stays alive — the
-    cache guarantees that by keeping the graph referenced from its plan.
+    cache guarantees that by keeping each plan, and through its
+    ``.graph`` the keyed graph, referenced.
     The ``epoch`` component is the owning dynamic graph's
     ``plan_epoch`` (see :class:`repro.dynamics.dynamic_graph.DynamicGraph`);
     bumping it retires every plan compiled under the old epoch without
@@ -116,13 +116,7 @@ class PlanCache:
         if maxsize < 1:
             raise ValueError("a plan cache needs room for at least one plan")
         self.maxsize = maxsize
-        # key -> (graph, plan).  The graph reference is load-bearing: the
-        # key is id(graph), and entries adopted from the memo layer carry
-        # a plan whose ``.graph`` is a content-equal *twin* — without the
-        # explicit reference the keyed graph could be collected and its
-        # id recycled by an unrelated graph, turning a stale entry into a
-        # wrong answer.
-        self._plans: "OrderedDict[Tuple[int, int], Tuple[DiGraph, DeliveryPlan]]" = OrderedDict()
+        self._plans: "OrderedDict[Tuple[int, int], DeliveryPlan]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         #: Optional tracing callback ``hook(kind, plan, seconds)`` with
@@ -132,38 +126,17 @@ class PlanCache:
         self.trace_hook = None
 
     def plan_for(self, graph: DiGraph, epoch: int = 0) -> DeliveryPlan:
-        """The compiled plan for ``graph``, compiling on first sight.
-
-        On an identity miss, graphs that already carry a content
-        fingerprint (interned or manifested ones — anonymous graphs pay
-        one attribute test and nothing more) are looked up in the
-        process-wide memo layer, which can hand back a plan compiled from
-        a content-equal twin; only if that also misses is a new plan
-        compiled, and then published back to the memo.
-        """
+        """The compiled plan for ``graph``, compiling on first sight."""
         key = (id(graph), epoch)
         plans = self._plans
         hook = self.trace_hook
-        entry = plans.get(key)
-        if entry is not None:
+        plan = plans.get(key)
+        if plan is not None:
             self.hits += 1
             plans.move_to_end(key)
-            plan = entry[1]
             if hook is not None:
                 hook("plan_hit", plan, 0.0)
             return plan
-        if graph._fingerprint is not None:
-            plan = memo.cached_plan(graph)
-            if plan is not None:
-                # A content hit: adopt the memoized plan under this
-                # graph's identity so the next round is a plain hit.
-                self.hits += 1
-                plans[key] = (graph, plan)
-                if len(plans) > self.maxsize:
-                    plans.popitem(last=False)
-                if hook is not None:
-                    hook("plan_hit", plan, 0.0)
-                return plan
         self.misses += 1
         if hook is None:
             plan = DeliveryPlan(graph)
@@ -171,10 +144,9 @@ class PlanCache:
             started = time.perf_counter()
             plan = DeliveryPlan(graph)
             hook("plan_compile", plan, time.perf_counter() - started)
-        plans[key] = (graph, plan)
+        plans[key] = plan
         if len(plans) > self.maxsize:
             plans.popitem(last=False)
-        memo.store_plan(graph, plan)
         return plan
 
     def invalidate(self, graph: DiGraph) -> None:

@@ -1,54 +1,34 @@
-"""Content-addressed memoization for the fibration and plan layers.
+"""Content-addressed memoization for the paper tables.
 
-The fibration machinery (minimum bases, equitable partitions) and the
-engine's compiled :class:`~repro.core.engine.plan.DeliveryPlan`\\ s are
-pure functions of a graph's *content* — vertex count, edge multiset,
-colors, values.  Yet the rest of the system keys them by object
-*identity*: every Table-1/2 cell recomputes the minimum base of the same
-probe graph, and a dynamic adversary that cycles through a small pool of
-graphs recompiles a plan per round because every round materializes a
-fresh ``DiGraph``.
+The tables rebuild the same probe graphs cell after cell, and refute the
+sum with the same §4.1 ring collapse for every cell of a model.  Both
+results are pure functions of their inputs, so this module keeps them in
+two process-local LRU caches:
 
-This module closes that gap with one keying mechanism, the
-**graph fingerprint** — 16 hex chars of SHA-256 over the vertex count,
-the sorted edge multiset, and the canonicalized values (the *same*
-algorithm, bit for bit, as the provenance manifests of
+* ``minimum_base``   — graph fingerprint → :class:`MinimumBase`
+  (:func:`memoized_minimum_base`)
+* ``sum_refutation`` — ``(model, rounds)`` → the verdict of the tables'
+  §4.1 ring-collapse refutation of the sum (:func:`memoized`)
+
+The key of a graph is its **fingerprint** — 16 hex chars of SHA-256 over
+the vertex count, the sorted edge multiset, and the canonicalized values
+(the *same* algorithm, bit for bit, as the provenance manifests of
 :mod:`repro.analysis.provenance`, which delegates here).  Fingerprints
 are computed lazily and cached on the graph (``DiGraph._fingerprint``),
-so a graph nobody memoizes never pays for hashing.  The (vertex count,
-sorted edges) prefix is hashed once per *edge structure*: graphs built by
-:meth:`~repro.graphs.digraph.DiGraph.with_values` /
+so a graph nobody memoizes or manifests never pays for hashing.  The
+(vertex count, sorted edges) prefix is hashed once per *edge structure*:
+graphs built by :meth:`~repro.graphs.digraph.DiGraph.with_values` /
 ``without_values`` share their source's edge arrays and its
 :class:`~repro.graphs.digraph.EdgeCache`, and each valuation hashes only
-its values into a copy of the digest kept there.
-The bytes hashed, hence every fingerprint, are the same as hashing the
-whole payload at once.
+its values into a copy of the digest kept there.  The bytes hashed,
+hence every fingerprint, are the same as hashing the whole payload at
+once.
 
-Which graphs get hashed: :func:`memoized_minimum_base`,
-:func:`memoized_equitable_partition` and :func:`intern_graph` hash every
-graph they are given (the table harness relies on that to share bases
-across cells).  The plan cache looks a graph up only when it already
-carries a fingerprint (:func:`cached_plan`), and quotient activation
-does not consult the memo at all, so neither hashes an anonymous graph.
-
-On top of it sit four process-local LRU caches:
-
-* ``minimum_base``       — fingerprint → :class:`MinimumBase`, built by
-  quotienting the memoized partition (no second refinement)
-* ``equitable_partition`` — fingerprint → class list (copied out)
-* ``delivery_plan``      — fingerprint → compiled ``DeliveryPlan``
-* ``interned_graph``     — fingerprint → first-seen ``DiGraph`` instance
-
-and one keyed by arguments rather than by a graph:
-
-* ``sum_refutation``     — ``(model, rounds)`` → the verdict of the
-  tables' §4.1 ring-collapse refutation of the sum (:func:`memoized`)
-
-Graph *interning* (:func:`intern_graph`) maps every content-equal graph
-to one representative instance, which makes the engine's identity-keyed
-:class:`~repro.core.engine.plan.PlanCache` hit on revisited topologies;
-the dynamic-graph layer calls it from
-:meth:`~repro.dynamics.dynamic_graph.DynamicGraph.enable_interning`.
+:func:`memoized_minimum_base` hashes every graph it is given (the table
+harness relies on that to share bases across cells), and provenance
+manifests hash the networks they record.  The engine hashes nothing: its
+:class:`~repro.core.engine.plan.PlanCache` keys plans by graph identity,
+and quotient activation refines the graph it runs on.
 
 Invariants:
 
@@ -56,35 +36,29 @@ Invariants:
   code a miss would run, on a content-equal graph; results are
   bit-identical with the memo layer on or off (the hypothesis suite in
   ``tests/property/test_partition_refinement.py`` pins this for whole
-  table documents).
+  table documents).  :func:`memo_disabled` is that reference path: inside
+  it every call computes.
 * **Per-process caches.**  Nothing here crosses process boundaries: each
   orchestrator pool child grows its own caches (fork may duplicate warm
   parent caches — that is a harmless head start, not a channel).
   Hit/miss *counters* are therefore per-process too.
 * **Observable.**  :func:`memo_stats` snapshots every cache's counters;
-  :func:`publish_memo_metrics` folds them into a PR-3
-  ``MetricsRegistry`` (counters ``memo_<cache>_hits`` / ``_misses``),
-  which is how ``python -m repro trace`` surfaces them.
-
-Set ``REPRO_MEMO=0`` to disable every cache (lookups miss, stores are
-skipped); :func:`memo_disabled` does the same for a ``with`` block.
+  :func:`publish_memo_metrics` folds them into a ``MetricsRegistry``
+  (counters ``memo_<cache>_hits`` / ``_misses``), which is how
+  ``python -m repro trace`` surfaces them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Hashable, List, Optional, TYPE_CHECKING
-
-from repro.envflags import env_flag
+from typing import Any, Callable, Dict, Hashable, Optional, TYPE_CHECKING
 
 from repro.core.metrics import canonical_repr
 from repro.graphs.digraph import DiGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.core.engine.plan import DeliveryPlan
     from repro.fibrations.minimum_base import MinimumBase
 
 
@@ -196,25 +170,16 @@ class MemoCache:
 #: The process-local caches, in publication order.
 _CACHES: Dict[str, MemoCache] = {
     "minimum_base": MemoCache("minimum_base"),
-    "equitable_partition": MemoCache("equitable_partition"),
-    "delivery_plan": MemoCache("delivery_plan", maxsize=256),
-    "interned_graph": MemoCache("interned_graph"),
     "sum_refutation": MemoCache("sum_refutation", maxsize=64),
 }
-
-_MINIMUM_BASES = _CACHES["minimum_base"]
-_PARTITIONS = _CACHES["equitable_partition"]
-_PLANS = _CACHES["delivery_plan"]
-_INTERNED = _CACHES["interned_graph"]
 
 _disabled_depth = 0
 
 
 def memo_enabled() -> bool:
-    """Whether the memo layer is live (``REPRO_MEMO=0`` — or any falsy
-    spelling, see :mod:`repro.envflags` — and :func:`memo_disabled` both
-    switch it off)."""
-    return _disabled_depth == 0 and env_flag("REPRO_MEMO", default=True)
+    """Whether the memo layer is live (:func:`memo_disabled` switches it
+    off)."""
+    return _disabled_depth == 0
 
 
 @contextmanager
@@ -269,31 +234,6 @@ def memoized(cache: str, key: Hashable, compute: Callable[[], Any]) -> Any:
 
 
 # ---------------------------------------------------------------------- #
-# graph interning
-# ---------------------------------------------------------------------- #
-
-def intern_graph(graph: DiGraph) -> DiGraph:
-    """The canonical representative of ``graph``'s content class.
-
-    The first graph seen with a given fingerprint becomes the
-    representative; every later content-equal graph maps to it.  Because
-    the engine's :class:`~repro.core.engine.plan.PlanCache` keys plans by
-    object identity, interning the round graphs of a recurring schedule
-    turns one plan compile per *round* into one per *distinct topology*.
-
-    With the memo layer disabled this is the identity function.
-    """
-    if not memo_enabled():
-        return graph
-    key = graph_fingerprint(graph)
-    rep = _INTERNED.get(key)
-    if rep is None:
-        _INTERNED.put(key, graph)
-        return graph
-    return rep
-
-
-# ---------------------------------------------------------------------- #
 # fibration memoization
 # ---------------------------------------------------------------------- #
 
@@ -301,71 +241,11 @@ def memoized_minimum_base(graph: DiGraph) -> "MinimumBase":
     """:func:`repro.fibrations.minimum_base.minimum_base`, memoized by
     content fingerprint.
 
-    A miss quotients the memoized partition
-    (:func:`memoized_equitable_partition`) instead of refining again, so
-    a caller that already decided on the class list pays only for the
-    quotient.  The cached :class:`MinimumBase` references the *interned*
-    representative of the content class (its ``fibration.source_graph``
-    may be a content-equal twin of the argument); everything else —
-    base graph, classes, fibre sizes — is a pure function of content.
+    The cached :class:`MinimumBase` references the first graph of its
+    content class that missed (its ``fibration.source_graph`` may be a
+    content-equal twin of the argument); everything else — base graph,
+    classes, fibre sizes — is a pure function of content.
     """
-    from repro.fibrations.minimum_base import minimum_base, quotient_by_partition
+    from repro.fibrations.minimum_base import minimum_base
 
-    if not memo_enabled():
-        return minimum_base(graph)
-    graph = intern_graph(graph)
-    key = graph_fingerprint(graph)
-    mb = _MINIMUM_BASES.get(key)
-    if mb is None:
-        # The class list is the refiner's own output, so the quotient
-        # skips the valuation check exactly as minimum_base does; it still
-        # checks the fibration it builds.
-        mb = quotient_by_partition(graph, memoized_equitable_partition(graph), verify=False)
-        _MINIMUM_BASES.put(key, mb)
-    return mb
-
-
-def memoized_equitable_partition(graph: DiGraph) -> List[int]:
-    """:func:`repro.fibrations.minimum_base.equitable_partition`, memoized
-    by content fingerprint.  Returns a fresh list each call (the canonical
-    labeling is content-determined, so hits and misses agree exactly)."""
-    from repro.fibrations.minimum_base import equitable_partition
-
-    if not memo_enabled():
-        return equitable_partition(graph)
-    key = graph_fingerprint(graph)
-    classes = _PARTITIONS.get(key)
-    if classes is None:
-        classes = equitable_partition(graph)
-        _PARTITIONS.put(key, classes)
-    return list(classes)
-
-
-# ---------------------------------------------------------------------- #
-# plan memoization (consulted by PlanCache on identity misses)
-# ---------------------------------------------------------------------- #
-
-def cached_plan(graph: DiGraph) -> Optional["DeliveryPlan"]:
-    """The memoized compiled plan for ``graph``'s content, if any.
-
-    Only *already fingerprinted* graphs are looked up (the caller checks
-    ``graph._fingerprint is not None`` first): a graph nobody interned or
-    manifested is anonymous, and hashing it on the plan hot path would
-    cost more than the compile it saves.
-    """
-    if not memo_enabled():
-        return None
-    fp = graph._fingerprint
-    if fp is None:
-        return None
-    return _PLANS.get(fp)
-
-
-def store_plan(graph: DiGraph, plan: "DeliveryPlan") -> None:
-    """Record a freshly compiled plan under the graph's fingerprint —
-    a no-op for anonymous (never-fingerprinted) graphs."""
-    if not memo_enabled():
-        return
-    fp = graph._fingerprint
-    if fp is not None:
-        _PLANS.put(fp, plan)
+    return memoized("minimum_base", graph_fingerprint(graph), lambda: minimum_base(graph))

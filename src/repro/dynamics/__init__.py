@@ -12,8 +12,8 @@ _EXPORTS = {
         "SequenceDynamicGraph", "StaticAsDynamic",
     ),
     "repro.dynamics.generators": (
-        "random_dynamic_strongly_connected", "recurring_dynamic_pool",
-        "random_dynamic_symmetric", "sparse_pulsed_dynamic",
+        "random_dynamic_strongly_connected", "random_dynamic_symmetric",
+        "sparse_pulsed_dynamic",
     ),
     "repro.dynamics.diameter": ("dynamic_diameter", "window_to_completeness"),
     "repro.dynamics.starts": ("AsynchronousStartGraph",),
@@ -45,7 +45,6 @@ __all__ = [
     "random_dynamic_strongly_connected",
     "random_dynamic_symmetric",
     "random_matching_dynamic",
-    "recurring_dynamic_pool",
     "sparse_pulsed_dynamic",
     "window_to_completeness",
 ]

@@ -33,36 +33,6 @@ class DynamicGraph(abc.ABC):
         return [self.graph_at(start + k) for k in range(length)]
 
     # ------------------------------------------------------------------ #
-    # content interning (the memo layer)
-    # ------------------------------------------------------------------ #
-
-    def enable_interning(self) -> "DynamicGraph":
-        """Route every round graph through
-        :func:`repro.core.memo.intern_graph`.
-
-        An adversary that *revisits* topologies — a periodic schedule, a
-        recurring random pool — normally materializes a fresh
-        content-equal :class:`DiGraph` per round, which the engine's
-        identity-keyed plan cache cannot recognize.  With interning on,
-        content-equal round graphs collapse to one representative
-        instance, so the plan compiles once per distinct topology instead
-        of once per round.  Off by default: fingerprinting every round of
-        a never-repeating adversary is pure overhead.  Returns ``self``
-        for chaining.
-        """
-        self._interning = True
-        return self
-
-    def _intern(self, graph: DiGraph) -> DiGraph:
-        """Apply interning when enabled (subclasses call this on every
-        graph they hand out)."""
-        if getattr(self, "_interning", False):
-            from repro.core.memo import intern_graph
-
-            return intern_graph(graph)
-        return graph
-
-    # ------------------------------------------------------------------ #
     # compiled-plan invalidation (the engine's plan layer)
     # ------------------------------------------------------------------ #
 
@@ -114,7 +84,7 @@ class SequenceDynamicGraph(DynamicGraph):
 
     def graph_at(self, t: int) -> DiGraph:
         self._check_round(t)
-        return self._intern(self.graphs[min(t - 1, len(self.graphs) - 1)])
+        return self.graphs[min(t - 1, len(self.graphs) - 1)]
 
 
 class PeriodicDynamicGraph(DynamicGraph):
@@ -131,7 +101,7 @@ class PeriodicDynamicGraph(DynamicGraph):
 
     def graph_at(self, t: int) -> DiGraph:
         self._check_round(t)
-        return self._intern(self.graphs[(t - 1) % len(self.graphs)])
+        return self.graphs[(t - 1) % len(self.graphs)]
 
 
 class FunctionDynamicGraph(DynamicGraph):
@@ -152,9 +122,7 @@ class FunctionDynamicGraph(DynamicGraph):
             g = self._fn(t)
             if g.n != self.n:
                 raise ValueError(f"round {t} produced a graph on {g.n} != {self.n} vertices")
-            # Intern *before* memoizing so rounds that regenerate an
-            # already-seen topology share one instance (and its plan).
-            self._cache[t] = self._intern(g)
+            self._cache[t] = g
         return self._cache[t]
 
     def invalidate_plans(self) -> int:

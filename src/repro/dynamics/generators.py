@@ -39,44 +39,6 @@ def random_dynamic_strongly_connected(
     return FunctionDynamicGraph(n, fn)
 
 
-def recurring_dynamic_pool(
-    n: int,
-    period: int = 5,
-    seed: int = 0,
-    symmetric: bool = False,
-    extra_edge_prob: float = 0.2,
-    intern: bool = True,
-) -> DynamicGraph:
-    """A dynamic adversary cycling through a fixed pool of ``period``
-    random connected graphs (round ``t`` draws pool entry ``(t-1) %
-    period``).
-
-    This is the regime where related work scales anonymous
-    dynamic-network computation — the adversary is adversarial but not
-    *novel* every round — and where plan compilation dominates the naive
-    engine's round cost.  With ``intern=True`` (the default) the round
-    graphs are routed through :func:`repro.core.memo.intern_graph`, so
-    revisiting a pool entry returns the *same* :class:`DiGraph` instance
-    and the engine compiles ``period`` plans total instead of one per
-    round; ``intern=False`` keeps the old materialize-per-round behavior
-    (the benchmark's baseline).
-
-    Every pool entry is connected, so the dynamic diameter is finite
-    (at most ``n - 1`` rounds reach everyone).
-    """
-    if period < 1:
-        raise ValueError("a recurring pool needs at least one graph")
-    build = random_symmetric_connected if symmetric else random_strongly_connected
-
-    def fn(t: int) -> DiGraph:
-        return build(n, extra_edge_prob, seed=hash((seed, (t - 1) % period)) & 0x7FFFFFFF)
-
-    dynamic = FunctionDynamicGraph(n, fn)
-    if intern:
-        dynamic.enable_interning()
-    return dynamic
-
-
 def sparse_pulsed_dynamic(
     n: int,
     pulse_every: int = 3,

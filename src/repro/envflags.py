@@ -1,11 +1,10 @@
 """One parser for every ``REPRO_*`` boolean environment switch.
 
-The engine grew its feature flags one at a time — ``REPRO_MEMO``,
-``REPRO_QUOTIENT``, ``REPRO_VECTOR`` — and each site initially parsed
-the variable by hand, which is how ``REPRO_MEMO=0`` *disabled*
-something while ``REPRO_QUOTIENT=false`` silently meant "off" only
-because it wasn't the literal ``"1"``.  :func:`env_flag` is the single
-shared reading:
+The engine grew its feature flags one at a time — ``REPRO_QUOTIENT``,
+``REPRO_VECTOR`` — and each site initially parsed the variable by hand,
+which is how ``REPRO_QUOTIENT=false`` meant "off" only because it
+wasn't the literal ``"1"``.  :func:`env_flag` is the single shared
+reading:
 
 * the **falsy spellings** ``0``, ``false``, ``no``, ``off`` and the empty
   string always disable, whatever the flag's default;
@@ -15,7 +14,7 @@ shared reading:
 
 Spellings are case-insensitive and surrounding whitespace is ignored.
 This module imports nothing from the package (it is a leaf, usable from
-``core.memo`` and ``store.cache`` alike without cycles).
+``core.engine`` and ``store.cache`` alike without cycles).
 """
 
 from __future__ import annotations

@@ -57,23 +57,12 @@ class TestTraceSubcommand:
         # A fresh DiGraph per round: every round compiles a new plan.
         assert len([e for e in events if e.kind == "plan_compile"]) == 4
 
-    def test_trace_recurring_pool_memoizes(self, capsys):
-        # A pool of 3 topologies over 9 rounds: 3 compiles, 6 plan hits,
-        # and non-zero memo counters in the summary metrics (the interner
-        # recognizes rounds 4..9 as revisits).  Unique seed: the memo
-        # caches are process-wide and must not be warmed by other tests.
-        assert main(
-            ["trace", "--algorithm", "gossip", "--recurring", "3",
-             "--n", "5", "--rounds", "9", "--seed", "77"]
-        ) == 0
-        manifest, events = events_from_jsonl(capsys.readouterr().out)
-        assert manifest["extra"]["recurring"] == 3
-        assert len([e for e in events if e.kind == "plan_compile"]) == 3
-        metrics = events[-1].fields["metrics"]
-        assert metrics["plan_hits"]["value"] == 6
-        assert metrics["memo_interned_graph_hits"]["value"] == 6
-        assert metrics["memo_interned_graph_misses"]["value"] == 3
-        assert metrics["memo_delivery_plan_misses"]["value"] == 3
+    def test_trace_recurring_flag_is_gone(self, capsys):
+        # The recurring-pool trace went with plan interning.
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--recurring", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --recurring 3" in capsys.readouterr().err
 
     def test_trace_is_deterministic(self, capsys):
         assert main(["trace", "--n", "5", "--seed", "3", "--rounds", "4"]) == 0

@@ -1,12 +1,9 @@
 """The shared environment-flag parser — one truth table for every knob.
 
-Before :mod:`repro.envflags`, each subsystem parsed its switch its own
-way: ``REPRO_MEMO`` disabled only on the literal ``"0"``, so
-``REPRO_MEMO=false`` silently stayed memoized.  These tests pin the
-shared truth table — every documented disable spelling (``=0``,
-``=false``, empty string, ``no``, ``off``) actually disables, every
-enable spelling enables, and unrecognized values keep each flag's
-documented default — across every flag consumer plus the
+These tests pin the shared truth table — every documented disable
+spelling (``=0``, ``=false``, empty string, ``no``, ``off``) actually
+disables, every enable spelling enables, and unrecognized values keep
+each flag's documented default — across every flag consumer plus the
 ``REPRO_STORE`` path variable.
 """
 
@@ -34,8 +31,9 @@ class TestParseFlag:
 
     @pytest.mark.parametrize("raw", [None, "2", "maybe", "enabled"])
     def test_unset_or_unrecognized_keeps_default(self, raw):
-        # "2" kept its historical meaning on both sides of the default:
-        # REPRO_QUOTIENT=2 never enabled, REPRO_MEMO=2 never disabled.
+        # "2" keeps its historical meaning on both sides of the default:
+        # REPRO_QUOTIENT=2 never enabled, and a default-on flag set to 2
+        # never disabled.
         assert parse_flag(raw, default=True) is True
         assert parse_flag(raw, default=False) is False
 
@@ -177,21 +175,6 @@ class TestConsumers:
             monkeypatch.setenv("REPRO_PARALLEL", raw)
             with pytest.warns(UserWarning, match="REPRO_PARALLEL no longer selects"):
                 _run_tiny_batch()
-
-    @pytest.mark.parametrize("raw", ["0", "false", ""])
-    def test_memo_disable_spellings(self, monkeypatch, raw):
-        from repro.core.memo import memo_enabled
-
-        monkeypatch.setenv("REPRO_MEMO", raw)
-        assert memo_enabled() is False
-
-    def test_memo_default_on_and_odd_values_stay_on(self, monkeypatch):
-        from repro.core.memo import memo_enabled
-
-        monkeypatch.delenv("REPRO_MEMO", raising=False)
-        assert memo_enabled() is True
-        monkeypatch.setenv("REPRO_MEMO", "2")  # historical: not a disable
-        assert memo_enabled() is True
 
     @pytest.mark.parametrize("raw", ["0", "false", ""])
     def test_quotient_disable_spellings(self, monkeypatch, raw):

@@ -8,18 +8,14 @@ from repro.core.engine.plan import PlanCache
 from repro.core.engine.trace import MetricsRegistry
 from repro.core.memo import (
     MemoCache,
-    cached_plan,
     clear_memos,
     graph_fingerprint,
-    intern_graph,
     memo_disabled,
-    memo_enabled,
     memo_stats,
-    memoized_equitable_partition,
     memoized_minimum_base,
     publish_memo_metrics,
 )
-from repro.fibrations.minimum_base import equitable_partition, minimum_base
+from repro.fibrations.minimum_base import minimum_base
 from repro.graphs.builders import (
     bidirectional_ring,
     complete_graph,
@@ -160,19 +156,9 @@ class TestActivationKeying:
         assert memo_stats() == before
 
 
-class TestInterning:
-    def test_first_seen_instance_wins(self):
-        g1 = directed_ring(6)
-        g2 = directed_ring(6)
-        assert intern_graph(g1) is g1
-        assert intern_graph(g2) is g1
-        assert intern_graph(g1) is g1
-
-    def test_disabled_is_identity(self):
-        g1, g2 = directed_ring(6), directed_ring(6)
-        with memo_disabled():
-            assert intern_graph(g1) is g1
-            assert intern_graph(g2) is g2
+class TestCaches:
+    def test_two_content_caches(self):
+        assert set(memo_stats()) == {"minimum_base", "sum_refutation"}
 
 
 class TestMemoizedFibrations:
@@ -191,50 +177,30 @@ class TestMemoizedFibrations:
         assert mb.base.n == direct.base.n
         assert mb.fibre_sizes == direct.fibre_sizes
 
-    def test_equitable_partition_returns_fresh_lists(self):
-        g = random_strongly_connected(6, seed=2)
-        first = memoized_equitable_partition(g)
-        second = memoized_equitable_partition(g)
-        assert first == second == equitable_partition(g)
-        assert first is not second  # callers may mutate their copy
-        first[0] = 999
-        assert memoized_equitable_partition(g) == second
-
     def test_disabled_bypasses_cache(self):
         with memo_disabled():
             memoized_minimum_base(directed_ring(4))
         assert memo_stats()["minimum_base"]["size"] == 0
 
-    def test_env_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMO", "0")
-        assert not memo_enabled()
-        memoized_minimum_base(directed_ring(4))
-        assert memo_stats()["minimum_base"]["size"] == 0
-
 
 class TestPlanMemo:
-    def test_plans_shared_across_plan_caches(self):
-        g1 = intern_graph(directed_ring(8))
-        plan1 = PlanCache().plan_for(g1)
-        # A content-equal twin in a brand-new cache: the memo hands the
-        # compiled plan over, no recompile.
-        g2 = intern_graph(DiGraph(8, directed_ring(8).edge_specs()))
-        assert g2 is g1  # interning collapsed it
-        cache = PlanCache()
-        assert cache.plan_for(g2) is plan1
-        assert cache.hits == 1 and cache.misses == 0
+    """Plans are keyed by graph identity alone: the plan cache neither
+    reads nor fills the content memo, fingerprinted graph or not."""
 
     def test_anonymous_graphs_skip_the_memo(self):
         g = directed_ring(8)  # never fingerprinted
         PlanCache().plan_for(g)
-        assert cached_plan(g) is None
-        assert memo_stats()["delivery_plan"]["size"] == 0
+        assert g._fingerprint is None
+        assert all(stats["size"] == 0 for stats in memo_stats().values())
 
-    def test_fingerprinted_twins_share_without_interning(self):
+    def test_content_equal_graphs_compile_their_own_plans(self):
         g1, g2 = directed_ring(8), directed_ring(8)
-        graph_fingerprint(g1), graph_fingerprint(g2)
-        plan1 = PlanCache().plan_for(g1)
-        assert PlanCache().plan_for(g2) is plan1
+        assert graph_fingerprint(g1) == graph_fingerprint(g2)
+        first, second = PlanCache(), PlanCache()
+        plan1, plan2 = first.plan_for(g1), second.plan_for(g2)
+        assert plan1 is not plan2
+        assert plan1.graph is g1 and plan2.graph is g2
+        assert (first.misses, second.misses, second.hits) == (1, 1, 0)
 
 
 class TestMetricsPublication:
@@ -266,11 +232,11 @@ class TestSumRefutationMemo:
         per table, its cell payloads, the memo's calls and misses, and
         how many refutations were computed."""
         import collections
+        import contextlib
 
         from repro.analysis import tables
 
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.setenv("REPRO_MEMO", "1" if memo else "0")
         computed = collections.Counter()
         real = tables.demonstrate_collapse
 
@@ -283,7 +249,8 @@ class TestSumRefutationMemo:
         for reproduce, n in ((tables.reproduce_table1, 6), (tables.reproduce_table2, 5)):
             clear_memos()
             computed.clear()
-            cells = [tables.cell_to_payload(cell) for cell in reproduce(n, 0)]
+            with contextlib.nullcontext() if memo else memo_disabled():
+                cells = [tables.cell_to_payload(cell) for cell in reproduce(n, 0)]
             stats = memo_stats()["sum_refutation"]
             results.append(
                 (cells, stats["hits"] + stats["misses"], stats["misses"], computed["refutations"])

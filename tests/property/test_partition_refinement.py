@@ -13,7 +13,6 @@ Two families of guarantees:
 """
 
 import json
-import os
 from collections import Counter
 from fractions import Fraction
 
@@ -176,13 +175,3 @@ class TestMemoizedDocumentsByteIdentical:
         with memo_disabled():
             plain = _document_bytes(reproduce_table2(n=4, seed=0))
         assert memoized == plain
-
-    def test_env_switch_disables_memo(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMO", "0")
-        from repro.core import memo
-
-        assert not memo.memo_enabled()
-        monkeypatch.delenv("REPRO_MEMO")
-        assert memo.memo_enabled()
-        # os.environ really is the switch (no import-time freeze).
-        assert os.environ.get("REPRO_MEMO") is None
